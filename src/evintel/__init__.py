@@ -72,6 +72,8 @@ from .tracks import (
     kinematic_edge_mass,
     kinematic_graph,
     path_plausibility,
+    path_support,
+    track_conflict,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -77,6 +77,8 @@ class DomainPrior:
         for r, p in self.probabilities.items():
             if not (isinstance(r, int) and r >= 1):
                 raise ValidationError(f"prior count {r!r} must be an integer >= 1")
+            if not math.isfinite(p):
+                raise ValidationError(f"prior probability for {r} is not a finite number")
             if p < 0:
                 raise ValidationError(f"prior probability for {r} is negative")
         total = math.fsum(self.probabilities.values())

@@ -123,6 +123,8 @@ def make_mass(frame: Frame, entries: Sequence[tuple[Iterable[str] | FocalSet, fl
     """Build a validated mass function; zero entries dropped, duplicates merged."""
     masses: dict[int, float] = {}
     for subset, value in entries:
+        if not math.isfinite(value):
+            raise ValidationError(f"mass {value} is not a finite number")
         if value < 0:
             raise ValidationError(f"negative mass {value}")
         if value == 0:

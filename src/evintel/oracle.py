@@ -22,7 +22,14 @@ from .cluster import (
 )
 from .decide import UtilityIntervalChoice, rho_segmentation
 from .ds import Frame, MassFunction, combine_all, combine_dempster, enumerate_conflict, make_mass
-from .tracks import TrackGraph, best_path_dp, combine_oracle, path_plausibility_unnorm
+from .tracks import (
+    TrackGraph,
+    best_path_dp,
+    combine_oracle,
+    path_plausibility_unnorm,
+    path_support,
+    track_conflict,
+)
 
 
 @dataclass(frozen=True)
@@ -54,9 +61,17 @@ def random_simple_support(frame: Frame, rng: random.Random) -> MassFunction:
     return make_mass(frame, [(tuple(members), w), (frame.elements, 1.0 - w)])
 
 
-def random_track_graph(n: int, rng: random.Random) -> TrackGraph:
-    p = tuple(rng.uniform(0.0, 0.95) for _ in range(n))
-    q = {(i, j): rng.uniform(0.0, 0.95) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+def random_track_graph(n: int, rng: random.Random, zero_share: float = 0.0) -> TrackGraph:
+    """Masses uniform on [0, 0.95]; each is exactly 0 with probability ``zero_share``
+    (no extra draw when it is 0, so seeded streams stay as they were)."""
+
+    def draw() -> float:
+        if zero_share and rng.random() < zero_share:
+            return 0.0
+        return rng.uniform(0.0, 0.95)
+
+    p = tuple(draw() for _ in range(n))
+    q = {(i, j): draw() for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     return TrackGraph(p, q)
 
 
@@ -139,6 +154,20 @@ def check_track_plausibility(seed: int, trials: int) -> CheckResult:
     return CheckResult("track plausibility closed form vs oracle", max_dev <= 1e-9, max_dev)
 
 
+def check_track_normalization(seed: int, trials: int) -> CheckResult:
+    """Sweep DPs for conflict and per-track support vs full product-space enumeration."""
+    rng = random.Random(seed)
+    max_dev = 0.0
+    for _ in range(trials):
+        g = random_track_graph(rng.randint(1, 5), rng, zero_share=rng.choice((0.0, 0.3)))
+        analysis = combine_oracle(g)
+        conflict, norm = track_conflict(g)
+        max_dev = max(max_dev, abs(conflict - analysis.conflict))
+        for path in g.all_paths():
+            max_dev = max(max_dev, abs(path_support(g, path, norm) - analysis.support[path]))
+    return CheckResult("track conflict and support DP vs oracle", max_dev <= 1e-12, max_dev)
+
+
 def check_best_path(seed: int, trials: int) -> CheckResult:
     rng = random.Random(seed)
     failures = 0
@@ -197,4 +226,5 @@ def run_all_checks(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         check_best_path(seed + 4, trials),
         check_rho_preferences(seed + 5, max(5, trials // 5)),
         check_partition_search(seed + 6, max(5, trials // 5)),
+        check_track_normalization(seed + 7, trials),
     ]

@@ -10,7 +10,7 @@ wrapped with the stage name.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
 
@@ -65,8 +65,8 @@ class TrackResult:
     excluded: tuple[str, ...]
     graph: tracks.TrackGraph | None
     best_paths: tuple[tuple[tracks.Path, float], ...]
-    conflict: float | None  # from the oracle; None past its limit
-    analysis: tracks.TrackAnalysis | None
+    conflict: float | None  # None past tracks.NORM_VERTEX_LIMIT
+    normalized: tuple[tuple[float, float] | None, ...]  # (plausibility, support) per best path
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,8 @@ def parse_document(doc: dict, where: str = "input") -> tuple[EvidenceCorpus, Dom
             time_s = float(raw["time"]) if "time" in raw else None
             pos = raw.get("pos")
             pos_km = (float(pos[0]), float(pos[1])) if pos is not None else None
+            if not all(math.isfinite(x) for x in (time_s, *(pos_km or ())) if x is not None):
+                raise ValueError("non-finite time or position")
         except (TypeError, ValueError, IndexError, KeyError):
             raise ValidationError(f"{loc}: malformed 'time' or 'pos'") from None
         reports.append(Report(rid, evidence, time_s, pos_km))
@@ -187,17 +189,21 @@ def _track_block(
     usable.sort(key=lambda r: (r.time_s, r.id))
     excluded = tuple(r.id for r in reports if r.time_s is None or r.pos_km is None)
     if not usable:
-        return TrackResult(block_index, (), excluded, None, (), None, None)
+        return TrackResult(block_index, (), excluded, None, (), None, ())
     vertices = tuple(
         tracks.TrackVertex(rank, r.time_s, r.pos_km) for rank, r in enumerate(usable, start=1)
     )
     p = tuple(min(1.0 - r.evidence.theta_mass, P_CAP) for r in usable)
     graph = tracks.kinematic_graph(vertices, p, cfg.v_max_kmh, cfg.q_cap)
     best = tuple(tracks.best_path_dp(graph, cfg.top_k))
-    analysis = tracks.cached_oracle(graph) if graph.n <= tracks.ORACLE_VERTEX_LIMIT else None
-    conflict = analysis.conflict if analysis is not None else None
+    conflict, normalized = None, (None,) * len(best)
+    if graph.n <= tracks.NORM_VERTEX_LIMIT:
+        conflict, norm = tracks.track_conflict(graph)
+        normalized = tuple(
+            (unnorm / norm, tracks.path_support(graph, path, norm)) for path, unnorm in best
+        )
     return TrackResult(
-        block_index, tuple(r.id for r in usable), excluded, graph, best, conflict, analysis
+        block_index, tuple(r.id for r in usable), excluded, graph, best, conflict, normalized
     )
 
 
@@ -240,14 +246,9 @@ def run_pipeline(
     track_results = None
     if "tracks" in stages:
         try:
-            jobs = list(enumerate(partition.blocks))
-            if cfg.threads > 1:
-                with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                    track_results = tuple(
-                        pool.map(lambda job: _track_block(corpus, job[0], job[1], cfg), jobs)
-                    )
-            else:
-                track_results = tuple(_track_block(corpus, i, b, cfg) for i, b in jobs)
+            track_results = tuple(
+                _track_block(corpus, i, b, cfg) for i, b in enumerate(partition.blocks)
+            )
             for tr in track_results:
                 for rid in tr.excluded:
                     warnings.append(f"block {tr.block}: report {rid!r} lacks time/pos, not tracked")
@@ -276,11 +277,10 @@ def _tracks_json(track_results: tuple[TrackResult, ...]) -> dict:
     out: dict[str, dict] = {}
     for tr in track_results:
         paths = []
-        for path, unnorm in tr.best_paths:
+        for (path, unnorm), values in zip(tr.best_paths, tr.normalized):
             entry: dict = {"vertices": list(path), "plausibility_unnorm": unnorm}
-            if tr.analysis is not None:
-                entry["plausibility_norm"] = tr.analysis.plausibility[path]
-                entry["support"] = tr.analysis.support[path]
+            if values is not None:
+                entry["plausibility_norm"], entry["support"] = values
             paths.append(entry)
         block: dict = {"reports": list(tr.report_ids), "best_paths": paths}
         if tr.conflict is not None:
@@ -375,11 +375,8 @@ def format_result(result: PipelineResult) -> str:
             parts.append("  no reports with time and position")
             continue
         rows = []
-        for path, unnorm in tr.best_paths:
-            norm = (
-                f"{tr.analysis.plausibility[path]:.6f}" if tr.analysis is not None else "n/a"
-            )
-            sup = f"{tr.analysis.support[path]:.6f}" if tr.analysis is not None else "n/a"
+        for (path, unnorm), values in zip(tr.best_paths, tr.normalized):
+            norm, sup = (f"{x:.6f}" for x in values) if values is not None else ("n/a", "n/a")
             rows.append(["-".join(map(str, path)), f"{unnorm:.6f}", norm, sup])
         parts.append(_table(rows, ["path", "pls_unnorm", "pls_norm", "support"]))
         if tr.conflict is not None:

@@ -8,19 +8,24 @@ factorizes as
 
     prod_{i not on track} (1 - p_i) * prod_{consecutive (i,j)} (1 - q_ij)
 
-which the DP exploits; ``combine_oracle`` recomputes everything by enumerating
-the full product space of evidence selections and is the independent check.
+which the ranking DP exploits. The total conflict of combining all evidence
+and the support of a track are counted exactly by sweeps over the vertices in
+rank order (``track_conflict``, ``path_support``), following the ordered-DAG
+structure of Bergsten & Schubert (1993). ``combine_oracle`` recomputes
+everything by enumerating the full product space of evidence selections and is
+the independent check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .ds import ValidationError
 
 ORACLE_VERTEX_LIMIT = 6
+NORM_VERTEX_LIMIT = 12  # the sweeps keep up to 2^(n-1) states; scripts/track_scaling.py times them
 DEFAULT_Q_CAP = 0.999
 
 Path = tuple[int, ...]
@@ -50,7 +55,6 @@ class TrackGraph:
     p: tuple[float, ...]  # vertex masses, index rank-1
     q: dict[tuple[int, int], float]  # edge masses keyed by (i, j) with i < j, 1-based
     vertices: tuple[TrackVertex, ...] | None = None
-    _oracle_cache: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.p)
@@ -159,13 +163,116 @@ def path_plausibility_unnorm(g: TrackGraph, path: Sequence[int]) -> float:
 def path_plausibility(g: TrackGraph, path: Sequence[int]) -> tuple[float, float | None]:
     """(unnormalized, normalized) plausibility of one completely specified track.
 
-    Normalization divides by 1 - total conflict, which requires the oracle's
-    full combination; past the oracle limit it is reported as None.
+    Normalization divides by the normalizer 1 - conflict of ``track_conflict``;
+    past ``NORM_VERTEX_LIMIT`` vertices it is reported as None.
     """
     unnorm = path_plausibility_unnorm(g, path)
-    if g.n > ORACLE_VERTEX_LIMIT:
+    if g.n > NORM_VERTEX_LIMIT:
         return unnorm, None
-    return unnorm, unnorm / (1.0 - cached_oracle(g).conflict)
+    return unnorm, unnorm / track_conflict(g)[1]
+
+
+def _add(states: dict, key, weight: float) -> None:
+    if weight:
+        states[key] = states.get(key, 0.0) + weight
+
+
+def _blocked(q_into: list[float], sources: int) -> float:
+    """Probability that every direct edge into a vertex from the bitmask ``sources``
+    (bit u-1 for vertex u) is doubted; ``q_into[u-1]`` is the edge mass u -> v."""
+    prob = 1.0
+    while sources:
+        low = sources & -sources
+        prob *= q_into[low.bit_length() - 1]
+        sources ^= low
+    return prob
+
+
+def track_conflict(g: TrackGraph) -> tuple[float, float]:
+    """(conflict, normalizer) of combining every vertex and edge evidence, exactly.
+
+    A selection of evidence combines to the empty set when no track visits every
+    required vertex (selected vertex evidence) without a doubted transition
+    (selected edge evidence). The sweep visits vertices in rank order and draws
+    the evidence on v and on every edge into v when it reaches v. Its state is
+    None before the first required vertex, else the bitmask A of vertices that
+    undoubted edges reach from the last required one; v is reached with
+    probability 1 - prod_{u in A} q_uv. A required vertex resets A to {v}, or
+    kills the selection when it is not reached. The conflict is the mass
+    killed and the normalizer 1 - conflict is the mass that survives; each is
+    summed on its own, so the normalizer keeps its relative precision when the
+    conflict rounds to 1. Zero-weight states are dropped, so a graph without
+    doubt keeps O(1) states.
+    """
+    states: dict[int | None, float] = {None: 1.0}
+    died: list[float] = []
+    for v in range(1, g.n + 1):
+        bit = 1 << (v - 1)
+        pv = g.p[v - 1]
+        q_into = [g.q[u, v] for u in range(1, v)]
+        nxt: dict[int | None, float] = {}
+        for a, w in states.items():
+            if a is None:
+                _add(nxt, None, w * (1.0 - pv))
+                _add(nxt, bit, w * pv)
+                continue
+            blocked = _blocked(q_into, a)
+            _add(nxt, a | bit, w * (1.0 - pv) * (1.0 - blocked))
+            _add(nxt, a, w * (1.0 - pv) * blocked)
+            _add(nxt, bit, w * pv * (1.0 - blocked))
+            died.append(w * pv * blocked)
+        states = nxt
+    return math.fsum(died), math.fsum(states.values())
+
+
+def path_support(g: TrackGraph, path: Sequence[int], norm: float | None = None) -> float:
+    """Normalized support (belief) of one track, exactly; ``norm`` is the
+    normalizer from ``track_conflict(g)``, computed here when not given.
+
+    The unnormalized support is the mass of selections whose combination is
+    the track P alone: P survives, with probability
+    ``path_plausibility_unnorm``, and no other track does. Given that P
+    survives, only vertices of P can be required and P's own transitions are
+    undoubted. The sweep's state is (free, A): free until the first required
+    vertex, and A the bitmask of endpoints of surviving partial tracks other
+    than P's prefix, whose last vertex is e. A vertex off P is reached from
+    A and e; a vertex of P is reached from A, where the edge from e is
+    undoubted. While free, a fresh start reaches every vertex except P's first.
+    Skipping a vertex of P that is not required turns P's prefix into another
+    partial track ending at e. The support is the weight ending with A empty.
+    """
+    path = _check_path(g, path)
+    if norm is None:
+        norm = track_conflict(g)[1]
+    on = set(path)
+    e = 0  # last vertex of P swept so far; 0 before P starts
+    states: dict[tuple[bool, int], float] = {(True, 0): 1.0}
+    for v in range(1, g.n + 1):
+        bit = 1 << (v - 1)
+        e_bit = 1 << (e - 1) if e else 0
+        q_into = [g.q[u, v] for u in range(1, v)]
+        nxt: dict[tuple[bool, int], float] = {}
+        if v not in on:  # never required, since P survives
+            for (free, a), w in states.items():
+                blocked = 0.0 if free else _blocked(q_into, a | e_bit)
+                _add(nxt, (free, a | bit), w * (1.0 - blocked))
+                _add(nxt, (free, a), w * blocked)
+        else:
+            pv = g.p[v - 1]
+            if e:
+                q_into[e - 1] = 0.0
+            for (free, a), w in states.items():
+                # a fresh start at P's first vertex would be P's own prefix
+                blocked = 0.0 if free and e else _blocked(q_into, a)
+                _add(nxt, (False, bit), w * pv * (1.0 - blocked))
+                _add(nxt, (False, 0), w * pv * blocked)
+                skipped = a | e_bit
+                _add(nxt, (free, skipped | bit), w * (1.0 - pv) * (1.0 - blocked))
+                _add(nxt, (free, skipped), w * (1.0 - pv) * blocked)
+            e = v
+        states = nxt
+    alone = math.fsum(w for (_, a), w in states.items() if not a)
+    return path_plausibility_unnorm(g, path) * alone / norm
 
 
 def _evidence_focals(g: TrackGraph) -> list[tuple[int, float]]:
@@ -238,13 +345,6 @@ def combine_oracle(g: TrackGraph) -> TrackAnalysis:
         plausibility[path] = pls_unnorm[bits - 1] / norm
         plausibility_unnorm[path] = pls_unnorm[bits - 1]
     return TrackAnalysis(conflict, support, plausibility, plausibility_unnorm)
-
-
-def cached_oracle(g: TrackGraph) -> TrackAnalysis:
-    """combine_oracle memoized on the (immutable) graph."""
-    if not g._oracle_cache:
-        g._oracle_cache.append(combine_oracle(g))
-    return g._oracle_cache[0]
 
 
 def best_path_dp(g: TrackGraph, top_k: int = 1) -> list[tuple[Path, float]]:

@@ -145,6 +145,31 @@ class TestExitCodes:
     def test_bad_rho_exit_2(self, scenario_file):
         assert main(["pipeline", str(scenario_file), "--rho", "1.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("time", float("inf")), ("pos", [float("nan"), 0.0])],
+    )
+    def test_non_finite_time_or_pos_exit_2(self, scenario_file, tmp_path, capsys, field, value):
+        doc = json.loads(scenario_file.read_text())
+        doc["reports"][1][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # writes the JSON extensions Infinity and NaN
+        assert main(["pipeline", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "reports[1]" in err and "malformed 'time' or 'pos'" in err
+
+    @pytest.mark.parametrize("where, message", [("mass", "not a finite number"), ("prior", "'prior'")])
+    def test_nan_mass_or_prior_exit_2(self, scenario_file, tmp_path, capsys, where, message):
+        doc = json.loads(scenario_file.read_text())
+        if where == "mass":
+            doc["reports"][0]["masses"][0]["mass"] = float("nan")
+        else:
+            doc["prior"]["1"] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["pipeline", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestDecide:
     def test_decide_outputs(self, tmp_path, capsys):

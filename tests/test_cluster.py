@@ -87,6 +87,11 @@ class TestPrior:
         with pytest.raises(ValidationError):
             DomainPrior({0: 1.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_probability(self, bad):
+        with pytest.raises(ValidationError, match="not a finite number"):
+            DomainPrior({1: bad, 2: 1.0})
+
 
 class TestPartitionValidation:
     def test_empty_block(self, pair_corpus):

@@ -70,6 +70,12 @@ class TestMakeMass:
         with pytest.raises(ValidationError, match="negative"):
             m_of(AB, (("A",), -0.1), (("A", "B"), 1.1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mass(self, bad):
+        # NaN fails every comparison, so the sum check alone lets it through
+        with pytest.raises(ValidationError, match="not a finite number"):
+            m_of(AB, (("A",), bad), (("A", "B"), 1.0))
+
 
 class TestCombine:
     def test_worked_example(self):

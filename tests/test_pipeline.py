@@ -188,6 +188,24 @@ class TestRunPipeline:
         with pytest.raises(StageError, match="decide"):
             run_pipeline(corpus, DomainPrior({1: 1.0}), decision=({}, dup))
 
+    @pytest.mark.parametrize("n_reports", [7, 12, 13])
+    def test_normalization_up_to_dp_limit(self, n_reports):
+        # fast targets analysed at 25 km/h: every edge of the block carries doubt
+        cfg = ScenarioConfig(
+            seed=2, targets=1, reports_per_target=n_reports, v_max_kmh=10_000.0, area_km=20_000.0
+        )
+        corpus, _ = parse_document(generate_scenario_doc(cfg))
+        result = run_pipeline(corpus, DomainPrior({1: 1.0}), PipelineConfig(restarts=2))
+        (block,) = result_to_json(result)["tracks"].values()
+        assert len(block["reports"]) == n_reports
+        normalized = n_reports <= 12
+        assert ("conflict" in block) is normalized
+        for entry in block["best_paths"]:
+            assert ("plausibility_norm" in entry) is ("support" in entry) is normalized
+            if normalized:
+                assert 0.0 <= entry["support"] <= entry["plausibility_norm"] <= 1.0
+        assert ("n/a" in format_result(result)) is not normalized
+
     def test_stage_subset(self):
         doc = generate_scenario_doc(ScenarioConfig(seed=1, targets=2, reports_per_target=2))
         corpus, prior = parse_document(doc)

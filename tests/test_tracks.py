@@ -14,8 +14,11 @@ from evintel.tracks import (
     dot_export,
     kinematic_edge_mass,
     kinematic_graph,
+    NORM_VERTEX_LIMIT,
     path_plausibility,
     path_plausibility_unnorm,
+    path_support,
+    track_conflict,
 )
 
 
@@ -96,9 +99,14 @@ class TestPathPlausibility:
             with pytest.raises(ValidationError):
                 path_plausibility(g, bad)
 
-    def test_normalization_unavailable_beyond_oracle(self):
-        rng = random.Random(0)
-        g = random_track_graph(7, rng)
+    def test_normalization_past_oracle_limit(self):
+        g = random_track_graph(7, random.Random(0))
+        unnorm, norm = path_plausibility(g, (1, 2))
+        assert norm == pytest.approx(unnorm / (1.0 - track_conflict(g)[0]), rel=1e-9)
+        assert 0.0 < unnorm < norm <= 1.0
+
+    def test_normalization_unavailable_beyond_dp_limit(self):
+        g = random_track_graph(NORM_VERTEX_LIMIT + 1, random.Random(0))
         unnorm, norm = path_plausibility(g, (1, 2))
         assert unnorm > 0.0
         assert norm is None
@@ -144,6 +152,64 @@ class TestCombineOracle:
                 assert path_plausibility_unnorm(g, path) == pytest.approx(
                     analysis.plausibility_unnorm[path], abs=1e-9
                 )
+
+
+class TestSweepDps:
+    def test_match_oracle(self):
+        # exact-zero masses (zero_share) exercise the dropped zero-weight states
+        rng = random.Random(21)
+        graphs = 0
+        for n in range(1, 7):
+            for t in range(6 if n == 6 else 48):
+                g = random_track_graph(n, rng, zero_share=(0.0, 0.3, 0.6)[t % 3] if n < 6 else 0.5)
+                analysis = combine_oracle(g)
+                conflict, norm = track_conflict(g)
+                assert abs(conflict - analysis.conflict) <= 1e-12
+                assert abs(norm - (1.0 - analysis.conflict)) <= 1e-12
+                for path in g.all_paths():
+                    assert abs(path_support(g, path, norm) - analysis.support[path]) <= 1e-12
+                graphs += 1
+        assert graphs >= 200
+
+    def test_fully_doubted_six_vertices(self):
+        g = random_track_graph(6, random.Random(22))
+        analysis = combine_oracle(g)
+        conflict, norm = track_conflict(g)
+        assert abs(conflict - analysis.conflict) <= 1e-12
+        for path in ((1, 2, 3, 4, 5, 6), (2, 5), (6,)):
+            assert abs(path_support(g, path) - analysis.support[path]) <= 1e-12
+
+    def test_worked_two_vertex_example(self):
+        g = TrackGraph((0.6, 0.5), {(1, 2): 0.3})
+        conflict, norm = track_conflict(g)
+        assert conflict == pytest.approx(0.09, abs=1e-15)
+        assert norm == pytest.approx(0.91, abs=1e-15)
+        assert path_support(g, (1, 2)) == pytest.approx(0.21 / 0.91, abs=1e-15)
+        # (1) alone: vertex 2 not required, vertex 1 required (kills (2)), edge doubted
+        assert path_support(g, (1,)) == pytest.approx(0.5 * 0.6 * 0.3 / 0.91, abs=1e-15)
+
+    def test_normalizer_survives_near_total_conflict(self):
+        # categorical reports and capped doubt on every edge: 1 - conflict rounds
+        # to nothing, the surviving mass summed directly does not
+        n = 6
+        g = TrackGraph((0.999999,) * n, {(i, j): 0.999 for i in range(1, n + 1) for j in range(i + 1, n + 1)})
+        _, norm = track_conflict(g)
+        assert norm > 0.0
+        full = tuple(range(1, n + 1))
+        unnorm = path_plausibility_unnorm(g, full)
+        support = path_support(g, full, norm)
+        assert 0.99 < support <= unnorm / norm <= 1.0
+
+    def test_undoubted_graph_stays_cheap(self):
+        g = TrackGraph((0.5,) * 40, {(i, j): 0.0 for i in range(1, 41) for j in range(i + 1, 41)})
+        conflict, norm = track_conflict(g)
+        assert conflict == 0.0 and norm == pytest.approx(1.0, abs=1e-12)
+        # a track that skips a vertex dies whenever that vertex is required
+        assert path_support(g, (1, 3), norm) == pytest.approx(0.5**38 * 0.5**2 * 0.5, rel=1e-9)
+
+    def test_invalid_path(self):
+        with pytest.raises(ValidationError):
+            path_support(graph3(), (2, 1))
 
 
 class TestBestPathDp:
