@@ -84,13 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple:
-    corpus, prior = pl.ingest_corpus(args.input)
-    if getattr(args, "rmax", None) is not None:
-        prior = DomainPrior.uniform(args.rmax)
-    return corpus, prior
-
-
 def _config(args, rho=None) -> pl.PipelineConfig:
     return pl.PipelineConfig(
         seed=getattr(args, "seed", 0),
@@ -129,11 +122,11 @@ def _write_dot(result: pl.PipelineResult, dot_path: Path) -> None:
 
 
 def _run_stage_command(args) -> int:
-    corpus, prior = _load(args)
-    decision = None
-    if args.command == "pipeline":
-        raw = json.loads(Path(args.input).read_text(encoding="utf-8"))
-        decision = pl.parse_decision(raw, where=args.input)
+    doc = pl.load_document(args.input)
+    corpus, prior = pl.parse_document(doc, where=str(Path(args.input)))
+    if args.rmax is not None:
+        prior = DomainPrior.uniform(args.rmax)
+    decision = pl.parse_decision(doc, where=args.input) if args.command == "pipeline" else None
     cfg = _config(args, rho=getattr(args, "rho", None))
     result = pl.run_pipeline(corpus, prior, cfg, decision=decision, stages=_STAGES[args.command])
     if getattr(args, "dot", None) is not None:

@@ -18,7 +18,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .ds import Frame, MassFunction, TotalConflictError, ValidationError, combine_all
+from .ds import (
+    Frame,
+    MassFunction,
+    TotalConflictError,
+    ValidationError,
+    combine_all,
+    combine_dempster,
+)
 
 IMPROVEMENT_TOL = 1e-12
 
@@ -314,25 +321,105 @@ def enumerate_partitions(n_items: int, max_blocks: int) -> Iterator[list[list[in
     yield from grow(0, 0)
 
 
+def _branch_and_bound(corpus: EvidenceCorpus, prior: DomainPrior, cap: int) -> list[list[str]]:
+    """Blocks of the (mcf, canonical key) minimum over partitions of at most cap blocks.
+
+    Depth-first over restricted growth strings: reports in corpus order, each
+    into an open block by ascending label or into a new one. A block only
+    grows by a report beyond its last index, so its state (combined mass,
+    survival prod(1 - c_step)) is one Dempster step from its parent's, folded
+    in ``combine_all``'s order: ``1 - survival`` is bit-for-bit
+    ``cluster_conflict``. States are memoised per block for the call; a total
+    contradiction leaves no mass and survival 0, as for every superset.
+
+    No completion of a node scores below ``1 - w * prod(1 - c_i)`` over its
+    open blocks, with w = ``1 - c0`` of the k blocks it ends with: blocks only
+    gain reports, which never raises survival, and each step of the bound is
+    the leaf's own float operation on arguments at least as large, so it
+    bounds in floating point too. Nor does any completion with k blocks have
+    a canonical key below (k, open blocks' members so far), since blocks only
+    gain later indices. A node is cut when every reachable k bounds above the
+    incumbent's mcf, or the smallest k that can tie it gives a key above the
+    incumbent's.
+    """
+    n = len(corpus.reports)
+    ids = corpus.ids
+    evidence = [r.evidence for r in corpus.reports]
+    weights = [1.0 - domain_conflict(k, prior) for k in range(1, cap + 1)]
+    states: dict[tuple[int, ...], tuple[MassFunction | None, float]] = {}
+    blocks: list[tuple[int, ...]] = []  # member indices per label
+    conflicts: list[float] = []
+    best_mcf = math.inf
+    best_key: tuple = ()
+    best_blocks: list[list[str]] = []
+
+    def conflict_of(block: tuple[int, ...]) -> float:
+        state = states.get(block)
+        if state is None:
+            state = (evidence[block[-1]], 1.0)
+            if len(block) > 1:
+                mass, survival = states[block[:-1]]
+                state = (None, 0.0)
+                if mass is not None:
+                    try:
+                        combined, c = combine_dempster(mass, evidence[block[-1]])
+                        state = (combined, survival * (1.0 - c))
+                    except TotalConflictError:
+                        pass
+            states[block] = state
+        return 1.0 - state[1]
+
+    def visit(i: int) -> None:
+        nonlocal best_mcf, best_key, best_blocks
+        used = len(blocks)
+        if i == n:
+            mcf = _mcf_value(domain_conflict(used, prior), conflicts)
+            if mcf > best_mcf:
+                return
+            id_blocks = [[ids[j] for j in b] for b in blocks]
+            key = _canonical_key(corpus, id_blocks)
+            if mcf < best_mcf or key < best_key:
+                best_mcf, best_key, best_blocks = mcf, key, id_blocks
+            return
+        lo = max(used, 1)
+        survival = math.prod(1.0 - c for c in conflicts)
+        bounds = [1.0 - w * survival for w in weights[lo - 1 : min(cap, used + n - i)]]
+        bound = min(bounds)
+        if bound > best_mcf:
+            return
+        if bound == best_mcf and (lo + bounds.index(bound), blocks) > best_key:
+            return
+        for label in range(used):
+            parent, parent_conflict = blocks[label], conflicts[label]
+            blocks[label] = parent + (i,)
+            conflicts[label] = conflict_of(blocks[label])
+            visit(i + 1)
+            blocks[label], conflicts[label] = parent, parent_conflict
+        if used < cap:
+            blocks.append((i,))
+            conflicts.append(conflict_of((i,)))
+            visit(i + 1)
+            blocks.pop()
+            conflicts.pop()
+
+    visit(0)
+    del visit  # a recursive closure is a reference cycle; unlink it so the memo is freed now
+    return best_blocks
+
+
 def exhaustive_search(
     corpus: EvidenceCorpus, prior: DomainPrior, max_blocks: int | None = None
 ) -> tuple[Partition, MetaConflictReport]:
-    """Global metaconflict minimum by enumerating every partition (oracle route).
+    """Global metaconflict minimum over every partition, by exact branch and bound.
 
-    Only partitions with at most min(r_max, n) blocks are scored; any block
-    count outside the prior's support has c0 = 1 and cannot beat them.
+    Only partitions with at most min(r_max, n) blocks are considered; any
+    block count outside the prior's support has c0 = 1 and cannot beat them.
+    Ties in mcf go to the smallest ``_canonical_key``, as in a full scan.
+    ``oracle.enumerate_search`` scores every partition and is the check.
     """
     n = len(corpus.reports)
     cap = min(prior.r_max, n) if max_blocks is None else min(max_blocks, n)
-    ids = corpus.ids
-    best: tuple[float, tuple, list[list[str]]] | None = None
-    for index_blocks in enumerate_partitions(n, cap):
-        blocks = [[ids[i] for i in block] for block in index_blocks]
-        conflicts = [cluster_conflict(corpus, b) for b in blocks]
-        mcf = _mcf_value(domain_conflict(len(blocks), prior), conflicts)
-        key = (mcf, _canonical_key(corpus, blocks))
-        if best is None or key < (best[0], best[1]):
-            best = (mcf, key[1], blocks)
-    assert best is not None
-    partition = make_partition(corpus, best[2])
+    if cap < 1:
+        raise ValidationError("max_blocks must be >= 1")
+    partition = make_partition(corpus, _branch_and_bound(corpus, prior, cap))
     return partition, metaconflict(partition, prior)

@@ -15,13 +15,30 @@ from . import posterior as post
 from .cluster import (
     DomainPrior,
     EvidenceCorpus,
+    MetaConflictReport,
+    Partition,
     Report,
     SearchConfig,
+    _canonical_key,
+    _mcf_value,
+    cluster_conflict,
+    domain_conflict,
+    enumerate_partitions,
     exhaustive_search,
+    make_partition,
+    metaconflict,
     partition_search,
 )
 from .decide import UtilityIntervalChoice, rho_segmentation
-from .ds import Frame, MassFunction, combine_all, combine_dempster, enumerate_conflict, make_mass
+from .ds import (
+    Frame,
+    MassFunction,
+    combine_all,
+    combine_dempster,
+    enumerate_conflict,
+    make_mass,
+    vacuous,
+)
 from .tracks import (
     TrackGraph,
     best_path_dp,
@@ -93,6 +110,60 @@ def separable_corpus(
         reports.append(Report(rid, evidence))
         groups[g].add(rid)
     return EvidenceCorpus(frame, tuple(reports)), [g for g in groups if g]
+
+
+def mixed_corpus(
+    rng: random.Random,
+    n_reports: int,
+    frame_size: int = 4,
+    categorical_share: float = 0.0,
+    vacuous_share: float = 0.0,
+) -> EvidenceCorpus:
+    """Reports drawn by ``random_mass``, except a share that is categorical on one
+    element (saturating any block it contradicts) or vacuous (tying everywhere)."""
+    frame = Frame(tuple(f"t{i + 1}" for i in range(frame_size)))
+    reports = []
+    for i in range(n_reports):
+        u = rng.random()
+        if u < categorical_share:
+            evidence = make_mass(frame, [((rng.choice(frame.elements),), 1.0)])
+        elif u < categorical_share + vacuous_share:
+            evidence = vacuous(frame)
+        else:
+            evidence = random_mass(frame, rng)
+        reports.append(Report(f"e{i + 1:02d}", evidence))
+    return EvidenceCorpus(frame, tuple(reports))
+
+
+def random_prior(rng: random.Random, r_max: int, zero_share: float = 0.0) -> DomainPrior:
+    """Prior on 1..r_max where each count is 0 with probability ``zero_share``
+    (one count keeps mass if all would be 0)."""
+    weights = [0.0 if rng.random() < zero_share else rng.random() + 1e-3 for _ in range(r_max)]
+    if not any(weights):
+        weights[rng.randrange(r_max)] = 1.0
+    total = sum(weights)
+    return DomainPrior({r + 1: w / total for r, w in enumerate(weights)})
+
+
+def enumerate_search(
+    corpus: EvidenceCorpus, prior: DomainPrior, max_blocks: int | None = None
+) -> tuple[Partition, MetaConflictReport]:
+    """``exhaustive_search`` by scoring every partition of at most
+    min(r_max, n) (or ``max_blocks``) blocks; ties go to the smallest canonical key."""
+    n = len(corpus.reports)
+    cap = min(prior.r_max, n) if max_blocks is None else min(max_blocks, n)
+    ids = corpus.ids
+    best: tuple[float, tuple, list[list[str]]] | None = None
+    for index_blocks in enumerate_partitions(n, cap):
+        blocks = [[ids[i] for i in block] for block in index_blocks]
+        conflicts = [cluster_conflict(corpus, b) for b in blocks]
+        mcf = _mcf_value(domain_conflict(len(blocks), prior), conflicts)
+        key = (mcf, _canonical_key(corpus, blocks))
+        if best is None or key < (best[0], best[1]):
+            best = (mcf, key[1], blocks)
+    assert best is not None
+    partition = make_partition(corpus, best[2])
+    return partition, metaconflict(partition, prior)
 
 
 def check_sequential_conflict(seed: int, trials: int) -> CheckResult:
@@ -217,6 +288,25 @@ def check_partition_search(seed: int, trials: int) -> CheckResult:
     return CheckResult("partition search vs exhaustive minimum", misses == 0, float(misses))
 
 
+def check_partition_branch_and_bound(seed: int, trials: int) -> CheckResult:
+    """exhaustive_search's branch and bound vs scoring every partition: the same
+    blocks and the same report, including saturated blocks, zero prior entries
+    and value ties."""
+    rng = random.Random(seed)
+    mismatches = 0
+    for _ in range(trials):
+        n = rng.randint(1, 7)
+        corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=0.25, vacuous_share=0.1)
+        prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.4)
+        max_blocks = rng.choice((None, rng.randint(1, n)))
+        part, report = exhaustive_search(corpus, prior, max_blocks)
+        fresh = EvidenceCorpus(corpus.frame, corpus.reports)
+        oracle_part, oracle_report = enumerate_search(fresh, prior, max_blocks)
+        if part.blocks != oracle_part.blocks or report != oracle_report:
+            mismatches += 1
+    return CheckResult("partition branch-and-bound vs enumeration", mismatches == 0, float(mismatches))
+
+
 def run_all_checks(seed: int = 0, trials: int = 25) -> list[CheckResult]:
     return [
         check_sequential_conflict(seed, trials),
@@ -227,4 +317,5 @@ def run_all_checks(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         check_rho_preferences(seed + 5, max(5, trials // 5)),
         check_partition_search(seed + 6, max(5, trials // 5)),
         check_track_normalization(seed + 7, trials),
+        check_partition_branch_and_bound(seed + 8, trials),
     ]

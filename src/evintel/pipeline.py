@@ -111,9 +111,13 @@ def parse_document(doc: dict, where: str = "input") -> tuple[EvidenceCorpus, Dom
         raise ValidationError(f"{where}: 'frame' and 'reports' must be lists")
     frame = Frame(tuple(doc["frame"]))
     try:
-        prior = DomainPrior({int(k): float(v) for k, v in doc["prior"].items()})
+        probabilities = {int(k): float(v) for k, v in doc["prior"].items()}
     except (TypeError, AttributeError, ValueError):
         raise ValidationError(f"{where}: 'prior' must map counts to probabilities") from None
+    try:
+        prior = DomainPrior(probabilities)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: 'prior': {exc}") from None
     reports = []
     for i, raw in enumerate(doc["reports"]):
         loc = f"{where}: reports[{i}]"
@@ -140,16 +144,20 @@ def parse_document(doc: dict, where: str = "input") -> tuple[EvidenceCorpus, Dom
     return corpus, prior
 
 
-def ingest_corpus(path: str | FilePath) -> tuple[EvidenceCorpus, DomainPrior]:
-    """Load and validate a corpus file; errors carry the file location."""
+def load_document(path: str | FilePath) -> dict:
+    """Read a corpus file's JSON; errors carry the file location."""
     path = FilePath(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValidationError(f"{path}: no such file") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    return parse_document(doc, where=str(path))
+
+
+def ingest_corpus(path: str | FilePath) -> tuple[EvidenceCorpus, DomainPrior]:
+    """Load and validate a corpus file; errors carry the file location."""
+    return parse_document(load_document(path), where=str(FilePath(path)))
 
 
 def parse_decision(doc: dict, where: str = "input") -> tuple[dict[str, float], list[decide.DecisionMaker]] | None:

@@ -325,7 +325,7 @@ def combine_oracle(g: TrackGraph) -> TrackAnalysis:
         stack.append((idx + 1, mask & fmask, weight * w))
 
     conflict = acc.pop(0, 0.0)
-    norm = 1.0 - conflict
+    norm = math.fsum(acc.values())  # surviving mass; 1 - conflict loses it near total conflict
     bel_unnorm = [0.0] * n_paths
     pls_unnorm = [0.0] * n_paths
     for mask, weight in acc.items():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from itertools import product
 
 from hypothesis import strategies as st
@@ -36,12 +35,6 @@ def mass_entries(draw, frame: Frame = ABCD, max_focals: int = 3):
 @st.composite
 def masses(draw, frame: Frame = ABCD, max_focals: int = 3):
     return make_mass(frame, draw(mass_entries(frame, max_focals)))
-
-
-def random_mass_pair(rng: random.Random, frame: Frame = ABCD):
-    from evintel.oracle import random_mass
-
-    return random_mass(frame, rng), random_mass(frame, rng)
 
 
 # --- sequential-game oracles (strategy tables over explicit histories) -------

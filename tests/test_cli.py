@@ -168,7 +168,8 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["pipeline", str(bad)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and "not a finite number" in err
 
 
 class TestDecide:

@@ -17,8 +17,8 @@ from evintel.cluster import (
     partition_search,
 )
 from evintel.cluster import _descend, _random_start  # noqa: PLC2701 - descent properties
-from evintel.ds import Frame, ValidationError, make_mass
-from evintel.oracle import separable_corpus
+from evintel.ds import Frame, ValidationError, make_mass, vacuous
+from evintel.oracle import enumerate_search, mixed_corpus, random_prior, separable_corpus
 
 AB = Frame(("A", "B"))
 
@@ -259,3 +259,70 @@ class TestEnumeration:
             _, found = partition_search(corpus, prior, SearchConfig(restarts=20, seed=trial))
             _, best = exhaustive_search(corpus, prior)
             assert found.mcf == pytest.approx(best.mcf, abs=1e-9)
+
+
+class TestBranchAndBound:
+    def test_matches_enumeration(self):
+        # same blocks and a bit-identical report, not only the same value: a
+        # quarter of the reports are categorical (saturated blocks), a tenth
+        # vacuous (exact value ties), priors have zero entries, and every other
+        # corpus caps the block count explicitly
+        rng = random.Random(61)
+        corpora = 0
+        for n in range(1, 9):
+            for t in range(40):
+                corpus = mixed_corpus(
+                    rng, n, rng.randint(2, 4), categorical_share=0.25, vacuous_share=0.1
+                )
+                prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.4)
+                max_blocks = rng.randint(1, n) if t % 2 else None
+                part, report = exhaustive_search(corpus, prior, max_blocks)
+                fresh = EvidenceCorpus(corpus.frame, corpus.reports)
+                oracle_part, oracle_report = enumerate_search(fresh, prior, max_blocks)
+                assert part.blocks == oracle_part.blocks
+                assert report.mcf == oracle_report.mcf
+                assert report == oracle_report
+                corpora += 1
+        assert corpora >= 300
+
+    @pytest.mark.parametrize("n", [5, 16])
+    def test_tie_goes_to_smallest_canonical_key(self, n):
+        # every 3-block partition of vacuous reports scores 0.5 and every
+        # 4-block one too; depth-first order meets ((0, .., n-3), (n-2,), (n-1,))
+        # first, the canonical key prefers ((0,), (1,), (2, .., n-1)). At 16
+        # reports the ties number in the millions, so the key must prune.
+        frame = Frame(("A", "B"))
+        corpus = corpus_of(frame, *((f"r{i}", vacuous(frame)) for i in range(n)))
+        prior = DomainPrior({3: 0.5, 4: 0.5})
+        part, report = exhaustive_search(corpus, prior)
+        assert part.blocks == (("r0",), ("r1",), tuple(f"r{i}" for i in range(2, n)))
+        assert report.mcf == 0.5
+        if n <= 8:
+            assert part.blocks == enumerate_search(corpus, prior)[0].blocks
+
+    def test_saturated_blocks_split(self):
+        a, b = make_mass(AB, [(("A",), 1.0)]), make_mass(AB, [(("B",), 1.0)])
+        corpus = corpus_of(AB, ("e1", a), ("e2", b), ("e3", a), ("e4", b))
+        part, report = exhaustive_search(corpus, DomainPrior.uniform(2))
+        assert part.blocks == (("e1", "e3"), ("e2", "e4"))
+        assert report.mcf == 0.5
+
+    def test_only_the_result_enters_the_conflict_cache(self):
+        corpus, _ = separable_corpus(random.Random(67), n_reports=10, n_groups=3)
+        part, _ = exhaustive_search(corpus, DomainPrior.uniform(4))
+        assert set(corpus._conflict_cache) == {frozenset(b) for b in part.blocks}
+
+    def test_invalid_max_blocks(self, pair_corpus):
+        with pytest.raises(ValidationError, match="max_blocks"):
+            exhaustive_search(pair_corpus, DomainPrior.uniform(2), max_blocks=0)
+
+    def test_search_reaches_minimum_on_larger_corpora(self):
+        rng = random.Random(71)
+        for n in (14, 15, 16):
+            for groups in (3, 4):
+                corpus, truth = separable_corpus(rng, n_reports=n, n_groups=groups)
+                prior = DomainPrior.uniform(5)
+                _, found = partition_search(corpus, prior, SearchConfig(restarts=20, seed=n))
+                best_part, best = exhaustive_search(corpus, prior)
+                assert found.mcf == pytest.approx(best.mcf, abs=1e-9)
+                assert sorted(sorted(b) for b in best_part.blocks) == sorted(sorted(g) for g in truth)

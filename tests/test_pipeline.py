@@ -77,6 +77,18 @@ class TestIngest:
         with pytest.raises(ValidationError, match="prior"):
             parse_document(doc_with([report_raw("r1", GOOD_MASSES)], prior={"1": 0.4, "2": 0.4}))
 
+    @pytest.mark.parametrize(
+        "prior, reason",
+        [
+            ({"1": 0.4, "2": 0.4}, "'prior': prior probabilities sum to 0.8"),
+            ({"1": -0.5, "2": 1.5}, "'prior': prior probability for 1 is negative"),
+            ({"x": 1.0}, "'prior' must map counts to probabilities"),
+        ],
+    )
+    def test_prior_message_keeps_its_reason(self, prior, reason):
+        with pytest.raises(ValidationError, match=reason):
+            parse_document(doc_with([report_raw("r1", GOOD_MASSES)], prior=prior), where="f.json")
+
 
 class TestParseDecision:
     def test_absent_section(self):

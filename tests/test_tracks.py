@@ -200,6 +200,18 @@ class TestSweepDps:
         support = path_support(g, full, norm)
         assert 0.99 < support <= unnorm / norm <= 1.0
 
+    def test_oracle_matches_near_total_conflict(self):
+        # the oracle normalizes by the surviving mass too; by 1 - conflict it
+        # reported support -0.0078 for the full track here
+        n = 6
+        g = TrackGraph((0.999999,) * n, {(i, j): 0.999 for i in range(1, n + 1) for j in range(i + 1, n + 1)})
+        analysis = combine_oracle(g)
+        _, norm = track_conflict(g)
+        for path in g.all_paths():
+            assert abs(path_support(g, path, norm) - analysis.support[path]) <= 1e-12
+            assert abs(path_plausibility_unnorm(g, path) / norm - analysis.plausibility[path]) <= 1e-12
+        assert analysis.support[tuple(range(1, n + 1))] > 0.99
+
     def test_undoubted_graph_stays_cheap(self):
         g = TrackGraph((0.5,) * 40, {(i, j): 0.0 for i in range(1, 41) for j in range(i + 1, 41)})
         conflict, norm = track_conflict(g)
