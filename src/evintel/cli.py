@@ -9,11 +9,9 @@ machine-readable JSON document. Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from . import decide
 from . import pipeline as pl
 from . import tracks
 from .cluster import DomainPrior
@@ -32,7 +30,7 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--max-sweeps", type=int, default=200)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; restarts run serially")
 
 
 def _add_track_args(p: argparse.ArgumentParser) -> None:
@@ -84,16 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args, rho=None) -> pl.PipelineConfig:
+def _config(args) -> pl.PipelineConfig:
+    if args.threads < 1:  # unused, but still refused so that a bad value keeps exiting 2
+        raise ValidationError("threads must be >= 1")
     return pl.PipelineConfig(
-        seed=getattr(args, "seed", 0),
-        restarts=getattr(args, "restarts", 20),
-        max_sweeps=getattr(args, "max_sweeps", 200),
+        seed=args.seed,
+        restarts=args.restarts,
+        max_sweeps=args.max_sweeps,
         v_max_kmh=getattr(args, "vmax", 25.0),
         q_cap=getattr(args, "q_cap", tracks.DEFAULT_Q_CAP),
         top_k=getattr(args, "top_k", 3),
-        threads=getattr(args, "threads", 1),
-        rho=rho,
+        rho=getattr(args, "rho", None),
     )
 
 
@@ -127,8 +126,7 @@ def _run_stage_command(args) -> int:
     if args.rmax is not None:
         prior = DomainPrior.uniform(args.rmax)
     decision = pl.parse_decision(doc, where=args.input) if args.command == "pipeline" else None
-    cfg = _config(args, rho=getattr(args, "rho", None))
-    result = pl.run_pipeline(corpus, prior, cfg, decision=decision, stages=_STAGES[args.command])
+    result = pl.run_pipeline(corpus, prior, _config(args), decision=decision, stages=_STAGES[args.command])
     if getattr(args, "dot", None) is not None:
         _write_dot(result, args.dot)
     _emit(pl.result_to_json(result), pl.format_result(result), args.out)
@@ -136,43 +134,11 @@ def _run_stage_command(args) -> int:
 
 
 def _run_decide(args) -> int:
-    try:
-        raw = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"{args.input}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{args.input}: invalid JSON ({exc})") from None
-    decision = pl.parse_decision(raw, where=args.input)
+    decision = pl.parse_decision(pl.load_document(args.input), where=args.input)
     if decision is None:
         raise ValidationError(f"{args.input}: no decision section")
-    _, makers = decision
-    intervals = {m.id: {c.id: (c.e_low, c.e_high) for c in m.choices} for m in makers}
-    segmentation = decide.game_preferences(makers)
-    assignment = decide.sequential_play(makers, args.rho) if args.rho is not None else None
-    doc: dict = {
-        "decision": {
-            "intervals": {
-                m: {c: [lo, hi] for c, (lo, hi) in cs.items()} for m, cs in intervals.items()
-            },
-            "segmentation": [
-                {"lo": s.lo, "hi": s.hi, "winners": list(s.winners)} for s in segmentation.segments
-            ],
-            "preferences": dict(segmentation.preferences),
-        }
-    }
-    lines = ["Decision analysis"]
-    for m, cs in intervals.items():
-        for c, (lo, hi) in cs.items():
-            lines.append(f"  {m} {c}: [{lo:.6f}, {hi:.6f}]")
-    for s in segmentation.segments:
-        lines.append(f"  rho [{s.lo:.6f}, {s.hi:.6f}] -> {' '.join(s.winners)}")
-    for c, p in sorted(segmentation.preferences.items()):
-        lines.append(f"  preference {c}: {p:.6f}")
-    if assignment is not None:
-        doc["decision"]["assignment"] = assignment
-        for m, c in assignment.items():
-            lines.append(f"  at rho={args.rho}: {m} plays {c}")
-    _emit(doc, "\n".join(lines) + "\n", args.out)
+    result = pl.analyze_decision(decision[1], args.rho)
+    _emit({"decision": pl.decision_to_json(result)}, pl.format_decision(result) + "\n", args.out)
     return 0
 
 

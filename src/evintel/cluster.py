@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -268,33 +267,25 @@ def _random_start(corpus: EvidenceCorpus, prior: DomainPrior, rng: random.Random
     return [b for b in blocks if b]
 
 
-def _restart(args) -> tuple[float, tuple, list[list[str]]]:
-    corpus, prior, seed, index, max_sweeps = args
-    rng = random.Random(f"{seed}:{index}")
-    blocks, mcf = _descend(corpus, prior, _random_start(corpus, prior, rng), max_sweeps)
-    return mcf, _canonical_key(corpus, blocks), blocks
-
-
 def partition_search(
     corpus: EvidenceCorpus,
     prior: DomainPrior,
     config: SearchConfig = SearchConfig(),
-    threads: int = 1,
 ) -> tuple[Partition, MetaConflictReport]:
     """Best partition over seeded random restarts of steepest single-move descent.
 
-    Deterministic given (corpus order, seed, restarts): restarts are merged by
-    (mcf, canonical key), so the result does not depend on execution order.
+    Deterministic given (corpus order, seed, restarts): restart i draws its
+    start from its own ``random.Random(f"{seed}:{i}")``, and restarts are
+    merged by (mcf, canonical key).
     """
     if config.restarts < 1:
         raise ValidationError("restarts must be >= 1")
-    jobs = [(corpus, prior, config.seed, i, config.max_sweeps) for i in range(config.restarts)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_restart, jobs))
-    else:
-        results = [_restart(j) for j in jobs]
-    _, _, best_blocks = min(results, key=lambda r: (r[0], r[1]))
+    runs = []
+    for i in range(config.restarts):
+        rng = random.Random(f"{config.seed}:{i}")
+        blocks, mcf = _descend(corpus, prior, _random_start(corpus, prior, rng), config.max_sweeps)
+        runs.append((mcf, _canonical_key(corpus, blocks), blocks))
+    _, _, best_blocks = min(runs, key=lambda r: r[:2])
     partition = make_partition(corpus, best_blocks)
     return partition, metaconflict(partition, prior)
 

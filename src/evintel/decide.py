@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .ds import MassFunction, ValidationError
 
@@ -101,6 +101,26 @@ def _winners_at(choices: Sequence[UtilityIntervalChoice], rho: float) -> tuple[s
     return tuple(c.id for c, v in zip(choices, values) if v == best)
 
 
+def _segmentation(points: Sequence[float], choice_ids: Sequence[str], winners_at: Callable) -> RhoSegmentation:
+    """Segments between breakpoints, decided at their midpoints by ``winners_at(rho)``;
+    neighbours with equal winners merge, and winners split a segment's length equally."""
+    segments: list[RhoSegment] = []
+    for lo, hi in zip(points, points[1:]):
+        if hi - lo <= 0.0:
+            continue
+        winners = winners_at((lo + hi) / 2.0)
+        if segments and segments[-1].winners == winners:
+            segments[-1] = RhoSegment(segments[-1].lo, hi, winners)
+        else:
+            segments.append(RhoSegment(lo, hi, winners))
+    preferences = {c: 0.0 for c in choice_ids}
+    for seg in segments:
+        share = (seg.hi - seg.lo) / len(seg.winners)
+        for w in seg.winners:
+            preferences[w] += share
+    return RhoSegmentation(tuple(segments), preferences)
+
+
 def rho_segmentation(choices: Sequence[UtilityIntervalChoice]) -> RhoSegmentation:
     """Upper envelope of the choices' point values over rho in [0, 1].
 
@@ -114,22 +134,7 @@ def rho_segmentation(choices: Sequence[UtilityIntervalChoice]) -> RhoSegmentatio
     ids = [c.id for c in choices]
     if len(set(ids)) != len(ids):
         raise ValidationError("choice ids must be unique")
-    points = _breakpoints(choices)
-    segments: list[RhoSegment] = []
-    for lo, hi in zip(points, points[1:]):
-        if hi - lo <= 0.0:
-            continue
-        winners = _winners_at(choices, (lo + hi) / 2.0)
-        if segments and segments[-1].winners == winners:
-            segments[-1] = RhoSegment(segments[-1].lo, hi, winners)
-        else:
-            segments.append(RhoSegment(lo, hi, winners))
-    preferences = {c.id: 0.0 for c in choices}
-    for seg in segments:
-        share = (seg.hi - seg.lo) / len(seg.winners)
-        for w in seg.winners:
-            preferences[w] += share
-    return RhoSegmentation(tuple(segments), preferences)
+    return _segmentation(_breakpoints(choices), ids, lambda rho: _winners_at(choices, rho))
 
 
 def _play(makers: Sequence[DecisionMaker], t: int, chosen: list[UtilityIntervalChoice], rho: float) -> tuple[UtilityIntervalChoice, ...]:
@@ -178,22 +183,10 @@ def game_preferences(makers: Sequence[DecisionMaker]) -> RhoSegmentation:
     """
     _validate_game(makers)
     all_choices = [c for m in makers for c in m.choices]
-    points = _breakpoints(all_choices)
-    segments: list[RhoSegment] = []
-    for lo, hi in zip(points, points[1:]):
-        if hi - lo <= 0.0:
-            continue
-        mid = (lo + hi) / 2.0
-        outcome = _play(makers, 0, [], mid)
-        table_max = max(c.value_at(mid) for c in outcome)
-        winners = tuple(c.id for c in outcome if c.value_at(mid) == table_max)
-        if segments and segments[-1].winners == winners:
-            segments[-1] = RhoSegment(segments[-1].lo, hi, winners)
-        else:
-            segments.append(RhoSegment(lo, hi, winners))
-    preferences = {c.id: 0.0 for c in all_choices}
-    for seg in segments:
-        share = (seg.hi - seg.lo) / len(seg.winners)
-        for w in seg.winners:
-            preferences[w] += share
-    return RhoSegmentation(tuple(segments), preferences)
+
+    def winners_at(rho: float) -> tuple[str, ...]:
+        outcome = _play(makers, 0, [], rho)
+        table_max = max(c.value_at(rho) for c in outcome)
+        return tuple(c.id for c in outcome if c.value_at(rho) == table_max)
+
+    return _segmentation(_breakpoints(all_choices), [c.id for c in all_choices], winners_at)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
 
@@ -44,12 +45,11 @@ class PipelineConfig:
     v_max_kmh: float = 25.0
     q_cap: float = tracks.DEFAULT_Q_CAP
     top_k: int = 3
-    threads: int = 1
     rho: float | None = None
 
     def __post_init__(self):
-        if self.restarts < 1 or self.top_k < 1 or self.threads < 1:
-            raise ValidationError("restarts, top_k and threads must be >= 1")
+        if self.restarts < 1 or self.top_k < 1:
+            raise ValidationError("restarts and top_k must be >= 1")
         if self.v_max_kmh <= 0:
             raise ValidationError("v_max must be positive")
         if not 0.0 <= self.q_cap < 1.0:
@@ -90,14 +90,25 @@ class PipelineResult:
 ALL_STAGES = frozenset({"specify", "posterior", "tracks"})
 
 
+def _number(value: object, what: str) -> float:
+    """A JSON number as a float: strings, booleans and ints past the float range are refused."""
+    if isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ValidationError(f"{what} must be a number")
+
+
 def _parse_masses(frame: Frame, raw: object, where: str) -> MassFunction:
     if not isinstance(raw, list) or not raw:
         raise ValidationError(f"{where}: 'masses' must be a nonempty list")
     entries = []
-    for item in raw:
+    for k, item in enumerate(raw):
+        loc = f"{where}: masses[{k}]"
         if not isinstance(item, dict) or "set" not in item or "mass" not in item:
-            raise ValidationError(f"{where}: each mass entry needs 'set' and 'mass'")
-        entries.append((tuple(item["set"]), float(item["mass"])))
+            raise ValidationError(f"{loc}: each mass entry needs 'set' and 'mass'")
+        members = item["set"]
+        if not isinstance(members, list) or not all(isinstance(e, str) for e in members):
+            raise ValidationError(f"{loc}: 'set' must be a list of frame elements")
+        entries.append((tuple(members), _number(item["mass"], f"{loc}: 'mass'")))
     try:
         return make_mass(frame, entries)
     except ValidationError as exc:
@@ -109,9 +120,14 @@ def parse_document(doc: dict, where: str = "input") -> tuple[EvidenceCorpus, Dom
         raise ValidationError(f"{where}: document needs 'frame', 'prior' and 'reports'")
     if not isinstance(doc["frame"], list) or not isinstance(doc["reports"], list):
         raise ValidationError(f"{where}: 'frame' and 'reports' must be lists")
-    frame = Frame(tuple(doc["frame"]))
+    if not all(isinstance(e, str) for e in doc["frame"]):
+        raise ValidationError(f"{where}: 'frame' elements must be strings")
     try:
-        probabilities = {int(k): float(v) for k, v in doc["prior"].items()}
+        frame = Frame(tuple(doc["frame"]))
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: 'frame': {exc}") from None
+    try:
+        probabilities = {int(k): _number(v, "'prior'") for k, v in doc["prior"].items()}
     except (TypeError, AttributeError, ValueError):
         raise ValidationError(f"{where}: 'prior' must map counts to probabilities") from None
     try:
@@ -129,12 +145,14 @@ def parse_document(doc: dict, where: str = "input") -> tuple[EvidenceCorpus, Dom
         loc = f"{loc} (id {rid!r})"
         evidence = _parse_masses(frame, raw.get("masses"), loc)
         try:
-            time_s = float(raw["time"]) if "time" in raw else None
+            time_s = _number(raw["time"], "'time'") if "time" in raw else None
             pos = raw.get("pos")
-            pos_km = (float(pos[0]), float(pos[1])) if pos is not None else None
+            if pos is not None and not (isinstance(pos, list) and len(pos) == 2):
+                raise ValueError("'pos' is not a pair")
+            pos_km = (_number(pos[0], "'pos'"), _number(pos[1], "'pos'")) if pos is not None else None
             if not all(math.isfinite(x) for x in (time_s, *(pos_km or ())) if x is not None):
                 raise ValueError("non-finite time or position")
-        except (TypeError, ValueError, IndexError, KeyError):
+        except ValueError:
             raise ValidationError(f"{loc}: malformed 'time' or 'pos'") from None
         reports.append(Report(rid, evidence, time_s, pos_km))
     try:
@@ -145,14 +163,17 @@ def parse_document(doc: dict, where: str = "input") -> tuple[EvidenceCorpus, Dom
 
 
 def load_document(path: str | FilePath) -> dict:
-    """Read a corpus file's JSON; errors carry the file location."""
+    """Read a corpus file's JSON object; errors carry the file location."""
     path = FilePath(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValidationError(f"{path}: no such file") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: the document must be a JSON object")
+    return doc
 
 
 def ingest_corpus(path: str | FilePath) -> tuple[EvidenceCorpus, DomainPrior]:
@@ -165,24 +186,40 @@ def parse_decision(doc: dict, where: str = "input") -> tuple[dict[str, float], l
     section = doc.get("decision")
     if section is None:
         return None
+    if not isinstance(section, dict):
+        raise ValidationError(f"{where}: 'decision' must be an object")
     utilities = section.get("utilities")
     if not isinstance(utilities, dict) or not utilities:
         raise ValidationError(f"{where}: decision section needs nonempty 'utilities'")
-    utilities = {str(k): float(v) for k, v in utilities.items()}
+    utilities = {str(k): _number(v, f"{where}: utility {k!r}") for k, v in utilities.items()}
     frame = Frame(tuple(utilities))
+    raw_makers = section.get("makers", [])
+    if not isinstance(raw_makers, list):
+        raise ValidationError(f"{where}: decision 'makers' must be a list")
     makers = []
-    for raw_maker in section.get("makers", []):
-        mid = raw_maker.get("id")
-        if not isinstance(mid, str) or not mid:
-            raise ValidationError(f"{where}: decision maker without id")
+    maker_ids, choice_ids = set(), set()
+    for i, raw_maker in enumerate(raw_makers):
+        mid = raw_maker.get("id") if isinstance(raw_maker, dict) else None
+        if not isinstance(mid, str) or not mid or mid in maker_ids:
+            raise ValidationError(f"{where}: decision makers[{i}] must be an object with a unique 'id'")
+        maker_ids.add(mid)
+        raw_choices = raw_maker.get("choices", [])
+        if not isinstance(raw_choices, list) or not raw_choices:
+            raise ValidationError(f"{where}: maker {mid!r} needs a nonempty list of 'choices'")
         choices = []
-        for raw_choice in raw_maker.get("choices", []):
-            cid = raw_choice.get("id")
-            if not isinstance(cid, str) or not cid:
-                raise ValidationError(f"{where}: maker {mid!r} has a choice without id")
-            mass = _parse_masses(frame, raw_choice.get("masses"), f"{where}: choice {cid!r}")
-            bpa = decide.UtilityBpa(mass, utilities)
-            choices.append(decide.expected_interval(bpa, cid))
+        for j, raw_choice in enumerate(raw_choices):
+            cid = raw_choice.get("id") if isinstance(raw_choice, dict) else None
+            if not isinstance(cid, str) or not cid or cid in choice_ids:
+                raise ValidationError(
+                    f"{where}: maker {mid!r}: choices[{j}] must be an object with an 'id' unique in the game"
+                )
+            choice_ids.add(cid)
+            loc = f"{where}: choice {cid!r}"
+            mass = _parse_masses(frame, raw_choice.get("masses"), loc)
+            try:
+                choices.append(decide.expected_interval(decide.UtilityBpa(mass, utilities), cid))
+            except ValidationError as exc:
+                raise ValidationError(f"{loc}: {exc}") from None
         makers.append(decide.DecisionMaker(mid, tuple(choices)))
     if not makers:
         raise ValidationError(f"{where}: decision section has no decision makers")
@@ -235,7 +272,7 @@ def run_pipeline(
     warnings: list[str] = []
     try:
         search_cfg = SearchConfig(cfg.restarts, cfg.seed, cfg.max_sweeps)
-        partition, mcr = partition_search(corpus, prior, search_cfg, threads=cfg.threads)
+        partition, mcr = partition_search(corpus, prior, search_cfg)
     except Exception as exc:
         raise StageError("cluster", exc) from exc
     membership = None
@@ -299,6 +336,24 @@ def _tracks_json(track_results: tuple[TrackResult, ...]) -> dict:
     return out
 
 
+def decision_to_json(decision: DecisionResult) -> dict:
+    """The ``decision`` object of the result JSON, shared by ``pipeline`` and ``decide``."""
+    doc: dict = {
+        "intervals": {
+            m: {c: [lo, hi] for c, (lo, hi) in choices.items()}
+            for m, choices in decision.intervals.items()
+        },
+        "segmentation": [
+            {"lo": s.lo, "hi": s.hi, "winners": list(s.winners)}
+            for s in decision.segmentation.segments
+        ],
+        "preferences": dict(decision.segmentation.preferences),
+    }
+    if decision.assignment is not None:
+        doc["assignment"] = decision.assignment
+    return doc
+
+
 def result_to_json(result: PipelineResult) -> dict:
     doc: dict = {
         "partition": [list(b) for b in result.partition.blocks],
@@ -315,20 +370,7 @@ def result_to_json(result: PipelineResult) -> dict:
     if result.track_results is not None:
         doc["tracks"] = _tracks_json(result.track_results)
     if result.decision is not None:
-        dec: dict = {
-            "intervals": {
-                m: {c: [lo, hi] for c, (lo, hi) in choices.items()}
-                for m, choices in result.decision.intervals.items()
-            },
-            "segmentation": [
-                {"lo": s.lo, "hi": s.hi, "winners": list(s.winners)}
-                for s in result.decision.segmentation.segments
-            ],
-            "preferences": dict(result.decision.segmentation.preferences),
-        }
-        if result.decision.assignment is not None:
-            dec["assignment"] = result.decision.assignment
-        doc["decision"] = dec
+        doc["decision"] = decision_to_json(result.decision)
     if result.warnings:
         doc["warnings"] = list(result.warnings)
     return doc
@@ -344,6 +386,24 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
     lines = [fmt.format(*header), fmt.format(*("-" * w for w in widths))]
     lines.extend(fmt.format(*r) for r in rows)
     return "\n".join(lines)
+
+
+def format_decision(decision: DecisionResult) -> str:
+    """The decision tables, shared by ``pipeline`` and ``decide``."""
+    rows = [
+        [m, c, f"{lo:.6f}", f"{hi:.6f}"]
+        for m, choices in decision.intervals.items()
+        for c, (lo, hi) in choices.items()
+    ]
+    parts = ["Decision analysis", _table(rows, ["maker", "choice", "E_low", "E_high"])]
+    rows = [[f"[{s.lo:.6f}, {s.hi:.6f}]", " ".join(s.winners)] for s in decision.segmentation.segments]
+    parts.append(_table(rows, ["rho interval", "winner"]))
+    rows = [[c, f"{p:.6f}"] for c, p in sorted(decision.segmentation.preferences.items())]
+    parts.append(_table(rows, ["choice", "preference"]))
+    if decision.assignment is not None:
+        rows = [[m, c] for m, c in decision.assignment.items()]
+        parts.append(_table(rows, ["maker", "plays"]))
+    return "\n".join(parts)
 
 
 def format_result(result: PipelineResult) -> str:
@@ -391,25 +451,7 @@ def format_result(result: PipelineResult) -> str:
             parts.append(f"  combination conflict: {tr.conflict:.6f}")
 
     if result.decision is not None:
-        parts.append("\nDecision analysis")
-        rows = []
-        for m, choices in result.decision.intervals.items():
-            for c, (lo, hi) in choices.items():
-                rows.append([m, c, f"{lo:.6f}", f"{hi:.6f}"])
-        parts.append(_table(rows, ["maker", "choice", "E_low", "E_high"]))
-        rows = [
-            [f"[{s.lo:.6f}, {s.hi:.6f}]", " ".join(s.winners)]
-            for s in result.decision.segmentation.segments
-        ]
-        parts.append(_table(rows, ["rho interval", "winner"]))
-        rows = [
-            [c, f"{p:.6f}"]
-            for c, p in sorted(result.decision.segmentation.preferences.items())
-        ]
-        parts.append(_table(rows, ["choice", "preference"]))
-        if result.decision.assignment is not None:
-            rows = [[m, c] for m, c in result.decision.assignment.items()]
-            parts.append(_table(rows, ["maker", "plays"]))
+        parts.append("\n" + format_decision(result.decision))
 
     for w in result.warnings:
         parts.append(f"warning: {w}")

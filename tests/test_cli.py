@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from evintel.cli import main
 
@@ -37,6 +42,29 @@ DECISION_DOC = {
         ],
     },
 }
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def edited(doc, path, value):
+    """A deep copy of ``doc`` with the node at ``path`` (keys and list indices) replaced."""
+    doc = copy.deepcopy(doc)
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# DECISION_DOC with kinematics, so that every stage has input to reject
+FUZZ_DOC = copy.deepcopy(DECISION_DOC)
+FUZZ_DOC["reports"][0].update(time=0.0, pos=[0.0, 0.0])
+FUZZ_DOC["reports"][1].update(time=600.0, pos=[1.0, 1.0])
 
 
 @pytest.fixture
@@ -110,6 +138,13 @@ class TestStageCommands:
         assert sorted(json.loads(out.read_text())["posterior"]) == ["1", "2", "3", "4", "5"]
 
 
+SET = ("reports", 0, "masses", 0, "set")
+MASS = ("reports", 1, "masses", 0, "mass")
+MAKERS = ("decision", "makers")
+CHOICES = MAKERS + (1, "choices")
+UTILITY = ("decision", "utilities", "bad")
+
+
 class TestExitCodes:
     def test_validation_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -147,7 +182,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("time", float("inf")), ("pos", [float("nan"), 0.0])],
+        [("time", float("inf")), ("pos", [float("nan"), 0.0]), ("time", "5"), ("pos", [1.0, 2.0, 3.0])],
     )
     def test_non_finite_time_or_pos_exit_2(self, scenario_file, tmp_path, capsys, field, value):
         doc = json.loads(scenario_file.read_text())
@@ -171,6 +206,79 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err and "not a finite number" in err
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            pytest.param(SET, "AB", "reports[0] (id 'r1'): masses[0]: 'set' must be a list", id="set-string"),
+            pytest.param(SET, 3, "reports[0] (id 'r1'): masses[0]: 'set' must be a list", id="set-number"),
+            pytest.param(SET, [["A"]], "masses[0]: 'set' must be a list of frame elements", id="set-nested"),
+            pytest.param(MASS, "0.6", "reports[1] (id 'r2'): masses[0]: 'mass' must be a number", id="mass-string"),
+            pytest.param(MASS, True, "masses[0]: 'mass' must be a number", id="mass-bool"),
+            pytest.param(MASS, 10**400, "masses[0]: 'mass' must be a number", id="mass-huge-int"),
+            pytest.param(("frame", 1), ["B"], "'frame' elements must be strings", id="frame-list-element"),
+            pytest.param(("frame",), [], "'frame': frame must be nonempty", id="frame-empty"),
+            pytest.param(("prior", "1"), "0.5", "'prior' must map counts to probabilities", id="prior-string"),
+            pytest.param((), [1, 2], "the document must be a JSON object", id="document-list"),
+            pytest.param(("decision",), [], "'decision' must be an object", id="decision-list"),
+            pytest.param(MAKERS, {"id": "dm1"}, "decision 'makers' must be a list", id="makers-object"),
+            pytest.param(MAKERS + (1,), "dm2", "decision makers[1] must be an object with a unique 'id'", id="maker-string"),
+            pytest.param(MAKERS + (1, "id"), "dm1", "decision makers[1] must be an object with a unique 'id'", id="maker-id-twice"),
+            pytest.param(MAKERS + (0, "choices"), [], "maker 'dm1' needs a nonempty list of 'choices'", id="choices-empty"),
+            pytest.param(CHOICES + (0,), 7, "maker 'dm2': choices[0] must be an object", id="choice-number"),
+            pytest.param(CHOICES + (1, "id"), "X", "maker 'dm2': choices[1] must be an object with an 'id' unique", id="choice-id-twice"),
+            pytest.param(UTILITY, "zero", "utility 'bad' must be a number", id="utility-string"),
+            pytest.param(UTILITY, float("inf"), "choice 'X': utility for 'bad' is not finite", id="utility-infinite"),
+        ],
+    )
+    def test_malformed_input_exit_2(self, tmp_path, capsys, path, value, message):
+        bad = write_json(tmp_path / "bad.json", edited(FUZZ_DOC, path, value))
+        commands = [["pipeline"]] + ([["decide"]] if not path or path[0] == "decision" else [])
+        for command in commands:
+            assert main(command + [str(bad)]) == 2, command
+            err = capsys.readouterr().err
+            assert f"{bad}: " in err and message in err, (command, err)
+
+    def test_threads_below_one_exit_2(self, scenario_file, capsys):
+        assert main(["pipeline", str(scenario_file), "--threads", "0"]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+
+
+def _node_paths(value, path=()):
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False)
+    | st.sampled_from(["A", "B", "good", "bad", "r1", "dm1", "X", "Y", "masses", "set", "mass"])
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestFuzz:
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(path=st.sampled_from(list(_node_paths(FUZZ_DOC))), value=JSON_VALUES)
+    def test_one_replaced_node_exits_0_or_2(self, tmp_path, path, value):
+        corpus = write_json(tmp_path / "fuzz.json", edited(FUZZ_DOC, path, value))
+        for command in (["pipeline", "--restarts", "2"], ["decide"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(command + [str(corpus)])
+            assert code in (0, 2), (command, path, value, err.getvalue())
+
 
 class TestDecide:
     def test_decide_outputs(self, tmp_path, capsys):
@@ -186,6 +294,21 @@ class TestDecide:
 
     def test_decide_without_section_exit_2(self, scenario_file):
         assert main(["decide", str(scenario_file)]) == 2
+
+    def test_decide_on_a_decision_only_document(self, tmp_path, capsys):
+        path = write_json(tmp_path / "d.json", {"decision": DECISION_DOC["decision"]})
+        assert main(["decide", str(path), "--rho", "0.5"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("Decision analysis\n") and "preference" in text
+
+    @pytest.mark.parametrize("rho", [None, "0.5", "0.9"])
+    def test_decide_and_pipeline_write_the_same_decision(self, tmp_path, rho):
+        path = write_json(tmp_path / "d.json", DECISION_DOC)
+        extra = ["--rho", rho] if rho is not None else []
+        decided, piped = tmp_path / "decide.json", tmp_path / "pipeline.json"
+        assert main(["decide", str(path), "--out", str(decided)] + extra) == 0
+        assert main(["pipeline", str(path), "--out", str(piped)] + extra) == 0
+        assert json.loads(decided.read_text()) == {"decision": json.loads(piped.read_text())["decision"]}
 
     def test_pipeline_carries_decision(self, tmp_path):
         path = tmp_path / "d.json"

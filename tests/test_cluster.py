@@ -195,15 +195,6 @@ class TestPartitionSearch:
         assert runs[0][0].blocks == runs[1][0].blocks
         assert runs[0][1] == runs[1][1]
 
-    def test_thread_count_does_not_change_result(self):
-        rng = random.Random(23)
-        corpus, _ = separable_corpus(rng, n_reports=8, n_groups=3)
-        prior = DomainPrior.uniform(4)
-        one = partition_search(corpus, prior, SearchConfig(restarts=12, seed=9), threads=1)
-        four = partition_search(corpus, prior, SearchConfig(restarts=12, seed=9), threads=4)
-        assert one[0].blocks == four[0].blocks
-        assert one[1] == four[1]
-
     def test_descent_never_increases_mcf(self):
         rng = random.Random(31)
         for trial in range(20):
