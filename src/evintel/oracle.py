@@ -8,11 +8,13 @@ and reports the largest deviation seen. The CLI exposes them as
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from . import posterior as post
 from .cluster import (
+    IMPROVEMENT_TOL,
     DomainPrior,
     EvidenceCorpus,
     MetaConflictReport,
@@ -20,7 +22,9 @@ from .cluster import (
     Report,
     SearchConfig,
     _canonical_key,
+    _descend,
     _mcf_value,
+    _random_start,
     cluster_conflict,
     domain_conflict,
     enumerate_partitions,
@@ -166,6 +170,63 @@ def enumerate_search(
     return partition, metaconflict(partition, prior)
 
 
+def reference_descent(
+    corpus: EvidenceCorpus,
+    prior: DomainPrior,
+    blocks: list[list[str]],
+    max_sweeps: int,
+) -> tuple[list[list[str]], float]:
+    """``cluster._descend`` by scoring every move with ``cluster_conflict``: each
+    sweep tries every report in every other block and in a fresh one, and takes
+    the first strictly best move; it stops when no move improves mcf."""
+    conflicts = [cluster_conflict(corpus, b) for b in blocks]
+    mcf = _mcf_value(domain_conflict(len(blocks), prior), conflicts)
+
+    for _ in range(max_sweeps):
+        best_cand = math.inf
+        best_move: tuple[int, int] | None = None  # (report index, target block or -1 for fresh)
+        for j, report in enumerate(corpus.reports):
+            origin = next(i for i, b in enumerate(blocks) if report.id in b)
+            origin_rest = [r for r in blocks[origin] if r != report.id]
+            c_origin_rest = cluster_conflict(corpus, origin_rest) if origin_rest else None
+            targets: list[int] = [t for t in range(len(blocks)) if t != origin]
+            if origin_rest:
+                targets.append(-1)  # fresh block last; a singleton's fresh move is a no-op
+            for target in targets:
+                new_conflicts = []
+                for i in range(len(blocks)):
+                    if i == origin:
+                        if origin_rest:
+                            new_conflicts.append(c_origin_rest)
+                    elif i == target:
+                        new_conflicts.append(
+                            cluster_conflict(corpus, blocks[i] + [report.id])
+                        )
+                    else:
+                        new_conflicts.append(conflicts[i])
+                if target == -1:
+                    new_conflicts.append(0.0)
+                cand = _mcf_value(domain_conflict(len(new_conflicts), prior), new_conflicts)
+                # applicable only on a strict improvement; ties keep the first-encountered move
+                if mcf - cand > IMPROVEMENT_TOL and cand < best_cand:
+                    best_cand = cand
+                    best_move = (j, target)
+        if best_move is None:
+            break
+        j, target = best_move
+        rid = corpus.reports[j].id
+        origin = next(i for i, b in enumerate(blocks) if rid in b)
+        blocks[origin] = [r for r in blocks[origin] if r != rid]
+        if target == -1:
+            blocks.append([rid])
+        else:
+            blocks[target] = blocks[target] + [rid]
+        blocks = [b for b in blocks if b]
+        conflicts = [cluster_conflict(corpus, b) for b in blocks]
+        mcf = best_cand
+    return blocks, mcf
+
+
 def check_sequential_conflict(seed: int, trials: int) -> CheckResult:
     """combine_all's accumulated conflict vs full product-space enumeration."""
     rng = random.Random(seed)
@@ -307,6 +368,41 @@ def check_partition_branch_and_bound(seed: int, trials: int) -> CheckResult:
     return CheckResult("partition branch-and-bound vs enumeration", mismatches == 0, float(mismatches))
 
 
+def descents_agree(
+    corpus: EvidenceCorpus, prior: DomainPrior, start: list[list[str]], max_sweeps: int
+) -> bool:
+    """``cluster._descend`` and ``reference_descent`` from the same start, the
+    reference on a fresh corpus: the same blocks in the same order, a bit-equal
+    mcf, and every conflict the descent cached bit-equal to ``cluster_conflict``."""
+    fresh = EvidenceCorpus(corpus.frame, corpus.reports)
+    blocks, mcf = _descend(corpus, prior, [list(b) for b in start], max_sweeps)
+    ref_blocks, ref_mcf = reference_descent(fresh, prior, [list(b) for b in start], max_sweeps)
+    return (
+        blocks == [sorted(b, key=corpus.index_of) for b in ref_blocks]
+        and mcf == ref_mcf
+        and all(cluster_conflict(fresh, key) == c for key, c in corpus._conflict_cache.items())
+    )
+
+
+def check_partition_descent(seed: int, trials: int) -> CheckResult:
+    """``descents_agree`` on mixed, separable and all-categorical corpora with
+    random priors, some runs cut after one or two sweeps."""
+    rng = random.Random(seed)
+    mismatches = 0
+    for t in range(trials):
+        n = rng.randint(1, 12)
+        if t % 3 == 1:
+            corpus, _ = separable_corpus(rng, n_reports=max(n, 3), n_groups=3)
+        else:
+            share = 0.25 if t % 3 == 0 else 1.0
+            corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=share, vacuous_share=0.1)
+        n = len(corpus.reports)
+        prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.4)
+        start = _random_start(corpus, prior, rng)
+        mismatches += not descents_agree(corpus, prior, start, rng.choice((1, 2, 200)))
+    return CheckResult("partition descent vs reference descent", mismatches == 0, float(mismatches))
+
+
 def run_all_checks(seed: int = 0, trials: int = 25) -> list[CheckResult]:
     return [
         check_sequential_conflict(seed, trials),
@@ -318,4 +414,5 @@ def run_all_checks(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         check_partition_search(seed + 6, max(5, trials // 5)),
         check_track_normalization(seed + 7, trials),
         check_partition_branch_and_bound(seed + 8, trials),
+        check_partition_descent(seed + 9, trials),
     ]

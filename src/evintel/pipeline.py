@@ -192,6 +192,10 @@ def parse_decision(doc: dict, where: str = "input") -> tuple[dict[str, float], l
     if not isinstance(utilities, dict) or not utilities:
         raise ValidationError(f"{where}: decision section needs nonempty 'utilities'")
     utilities = {str(k): _number(v, f"{where}: utility {k!r}") for k, v in utilities.items()}
+    values = utilities.values()
+    if all(map(math.isfinite, values)) and not math.isfinite(max(values) - min(values)):
+        # infinite values are rejected per choice below, with the utility named
+        raise ValidationError(f"{where}: decision utilities must span a finite range (max - min overflows)")
     frame = Frame(tuple(utilities))
     raw_makers = section.get("makers", [])
     if not isinstance(raw_makers, list):

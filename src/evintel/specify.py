@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cluster import DomainPrior, EvidenceCorpus, Partition, cluster_conflict, domain_conflict
+from .cluster import BlockState, DomainPrior, EvidenceCorpus, Partition, domain_conflict
 from .ds import MassFunction, ValidationError, discount
 
 NEW_BLOCK = "new"
@@ -49,14 +49,27 @@ def _ratio(delta: float, denom: float) -> float:
     return min(1.0, max(0.0, delta / denom))
 
 
-def membership_evidence(partition: Partition, prior: DomainPrior, report_id: str) -> MembershipEvidence:
-    """Metalevel against-membership masses for one report, per block and for "new"."""
+def _block_states(partition: Partition) -> list[BlockState]:
     corpus = partition.corpus
+    return [BlockState(corpus, sorted(map(corpus.index_of, b))) for b in partition.blocks]
+
+
+def _membership(
+    partition: Partition,
+    prior: DomainPrior,
+    states: list[BlockState],
+    report_id: str,
+) -> MembershipEvidence:
+    """``membership_evidence`` over the partition's block states.
+
+    A saturated block (conflict 1.0) gets against 1.0 without its +/- j
+    conflict: ``_ratio`` would divide by 1 - 1.0 = 0, or a nonzero x by itself.
+    """
+    j = partition.corpus.index_of(report_id)
     own = partition.block_of(report_id)
     n = partition.n_blocks
     c0 = domain_conflict(n, prior)
-    origin_rest = [r for r in partition.blocks[own] if r != report_id]
-    origin_empties = not origin_rest
+    origin_empties = len(partition.blocks[own]) == 1
 
     def domain_delta(new_n: int) -> float:
         if c0 >= 1.0:
@@ -65,29 +78,41 @@ def membership_evidence(partition: Partition, prior: DomainPrior, report_id: str
 
     against: dict[BlockKey, float] = {}
     domain: dict[BlockKey, float] = {}
-    for k, block in enumerate(partition.blocks):
-        c_k = cluster_conflict(corpus, block)
+    for k, state in enumerate(states):
+        c_k = state.conflict()
         if k == own:
-            c_removed = cluster_conflict(corpus, origin_rest) if origin_rest else 0.0
-            against[k] = _ratio(c_k - c_removed, 1.0 - c_removed)
             domain[k] = 0.0
+            if c_k == 1.0:
+                against[k] = 1.0
+            else:
+                c_removed = 0.0 if origin_empties else state.toggled(j)
+                against[k] = _ratio(c_k - c_removed, 1.0 - c_removed)
         else:
-            c_inserted = cluster_conflict(corpus, list(block) + [report_id])
-            against[k] = _ratio(c_inserted - c_k, 1.0 - c_k)
             domain[k] = domain_delta(n - 1) if origin_empties else 0.0
+            against[k] = 1.0 if c_k == 1.0 else _ratio(state.toggled(j) - c_k, 1.0 - c_k)
     # fresh block: no cluster conflict is possible in a singleton
     against[NEW_BLOCK] = 0.0
     domain[NEW_BLOCK] = 0.0 if origin_empties else domain_delta(n + 1)
     return MembershipEvidence(report_id, against, domain)
 
 
+def membership_evidence(partition: Partition, prior: DomainPrior, report_id: str) -> MembershipEvidence:
+    """Metalevel against-membership masses for one report, per block and for "new"."""
+    return _membership(partition, prior, _block_states(partition), report_id)
+
+
 def specify_corpus(partition: Partition, prior: DomainPrior) -> MembershipSpecification:
-    """Membership plausibilities and per-report weights for every report and block."""
+    """Membership plausibilities and per-report weights for every report and block.
+
+    Each block's state is built once, so a +/- j conflict the corpus cache
+    does not hold is folded from the block's prefix chain, as in the search.
+    """
     plausibility: dict[str, dict[BlockKey, float]] = {}
     weights: dict[str, dict[int, float]] = {}
     block_keys: list[BlockKey] = list(range(partition.n_blocks)) + [NEW_BLOCK]
+    states = _block_states(partition)
     for report in partition.corpus.reports:
-        ev = membership_evidence(partition, prior, report.id)
+        ev = _membership(partition, prior, states, report.id)
         pl = {key: 1.0 - ev.total_against(key) for key in block_keys}
         plausibility[report.id] = pl
         block_total = sum(pl[k] for k in range(partition.n_blocks))

@@ -228,6 +228,9 @@ class TestExitCodes:
             pytest.param(CHOICES + (1, "id"), "X", "maker 'dm2': choices[1] must be an object with an 'id' unique", id="choice-id-twice"),
             pytest.param(UTILITY, "zero", "utility 'bad' must be a number", id="utility-string"),
             pytest.param(UTILITY, float("inf"), "choice 'X': utility for 'bad' is not finite", id="utility-infinite"),
+            pytest.param(
+                UTILITY[:-1], {"good": 1e308, "bad": -1e308}, "utilities must span a finite range", id="utility-range-overflows"
+            ),
         ],
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, path, value, message):

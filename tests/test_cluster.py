@@ -3,6 +3,7 @@ import random
 import pytest
 
 from evintel.cluster import (
+    BlockState,
     DomainPrior,
     EvidenceCorpus,
     Partition,
@@ -18,7 +19,15 @@ from evintel.cluster import (
 )
 from evintel.cluster import _descend, _random_start  # noqa: PLC2701 - descent properties
 from evintel.ds import Frame, ValidationError, make_mass, vacuous
-from evintel.oracle import enumerate_search, mixed_corpus, random_prior, separable_corpus
+from evintel.oracle import (
+    descents_agree,
+    enumerate_search,
+    mixed_corpus,
+    random_prior,
+    separable_corpus,
+)
+from evintel.pipeline import parse_document
+from evintel.scenario import ScenarioConfig, generate_scenario_doc
 
 AB = Frame(("A", "B"))
 
@@ -317,3 +326,72 @@ class TestBranchAndBound:
                 best_part, best = exhaustive_search(corpus, prior)
                 assert found.mcf == pytest.approx(best.mcf, abs=1e-9)
                 assert sorted(sorted(b) for b in best_part.blocks) == sorted(sorted(g) for g in truth)
+
+
+class TestIncrementalDescent:
+    def test_matches_reference_on_mixed_corpora(self):
+        # categorical reports saturate blocks, vacuous ones tie moves exactly,
+        # priors have zero entries; every third run stops after 1 or 2 sweeps
+        rng = random.Random(83)
+        for t in range(320):
+            n = rng.randint(1, 12)
+            corpus = mixed_corpus(
+                rng, n, rng.randint(2, 4), categorical_share=0.25, vacuous_share=0.1
+            )
+            prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.4)
+            start = _random_start(corpus, prior, random.Random(t))
+            assert descents_agree(corpus, prior, start, (1, 2, 200)[t % 3])
+
+    def test_matches_reference_on_separable_corpora(self):
+        rng = random.Random(89)
+        for t in range(40):
+            corpus, _ = separable_corpus(rng, n_reports=rng.randint(4, 16), n_groups=rng.randint(2, 4))
+            prior = DomainPrior.uniform(5)
+            start = _random_start(corpus, prior, random.Random(t))
+            assert descents_agree(corpus, prior, start, 200 if t % 4 else 1)
+
+    def test_matches_reference_on_saturated_corpora(self):
+        # every report categorical: a block is either conflict-free or saturated
+        rng = random.Random(97)
+        for t in range(60):
+            n = rng.randint(2, 12)
+            corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=1.0)
+            prior = random_prior(rng, rng.randint(1, n + 1))
+            start = _random_start(corpus, prior, random.Random(t))
+            assert descents_agree(corpus, prior, start, 200 if t % 4 else 2)
+
+    @pytest.mark.parametrize("rung", [(3, 4), (4, 6), (5, 6), (6, 8), (10, 10)])
+    def test_matches_reference_on_gen_ladder(self, rung):
+        targets, per_target = rung
+        doc = generate_scenario_doc(
+            ScenarioConfig(seed=3, targets=targets, reports_per_target=per_target, frame_size=max(6, targets))
+        )
+        corpus, prior = parse_document(doc)
+        for i in range(4):
+            start = _random_start(corpus, prior, random.Random(f"0:{i}"))
+            assert descents_agree(EvidenceCorpus(corpus.frame, corpus.reports), prior, start, 200)
+
+    def test_block_state_conflicts_match_cluster_conflict(self):
+        # block +/- j, the block itself and the block after each toggle, bit for
+        # bit, on blocks where a categorical report makes total conflicts
+        rng = random.Random(101)
+        totals = 0
+        for _ in range(60):
+            corpus = mixed_corpus(rng, rng.randint(2, 9), rng.randint(2, 3), categorical_share=0.3)
+            fresh = EvidenceCorpus(corpus.frame, corpus.reports)
+            ids = corpus.ids
+            members = sorted(rng.sample(range(len(ids)), rng.randint(1, len(ids))))
+            state = BlockState(corpus, list(members))
+            assert state.conflict() == cluster_conflict(fresh, [ids[i] for i in members])
+            for j in range(len(ids)):
+                toggled = set(members) ^ {j}
+                if toggled:
+                    c = cluster_conflict(fresh, [ids[i] for i in toggled])
+                    assert state.toggled(j) == c
+                    totals += c == 1.0
+            for j in rng.sample(range(len(ids)), len(ids)):
+                if len(state.members) > 1 or state.members != [j]:
+                    state.toggle(j)
+                    corpus._conflict_cache.clear()
+                    assert state.conflict() == cluster_conflict(fresh, [ids[i] for i in state.members])
+        assert totals > 0
