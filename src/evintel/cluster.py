@@ -23,11 +23,13 @@ from .ds import (
     MassFunction,
     TotalConflictError,
     ValidationError,
-    combine_all,
-    combine_dempster,
+    _dempster_conflict,
+    _dempster_step,
 )
 
 IMPROVEMENT_TOL = 1e-12
+
+FoldState = tuple[dict[int, float] | None, float]  # see _fold_step
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,8 @@ class EvidenceCorpus:
             if r.evidence.frame != self.frame:
                 raise ValidationError(f"report {r.id!r} uses a different frame")
         object.__setattr__(self, "_by_id", {r.id: i for i, r in enumerate(self.reports)})
+        # each report's focal (bits, mass) pairs, the form a fold step combines
+        object.__setattr__(self, "_items", tuple(tuple(r.evidence.masses.items()) for r in self.reports))
 
     def index_of(self, report_id: str) -> int:
         try:
@@ -166,13 +170,7 @@ def cluster_conflict(corpus: EvidenceCorpus, block: Iterable[str]) -> float:
     if cached is not None:
         return cached
     indices = sorted(map(corpus.index_of, ids))
-    if len(ids) <= 1:
-        conflict = 0.0
-    else:
-        try:
-            _, conflict = combine_all([corpus.reports[i].evidence for i in indices])
-        except TotalConflictError:
-            conflict = 1.0
+    conflict = _tail_conflict(corpus, None, indices) if indices else 0.0
     corpus._conflict_cache[ids] = conflict
     return conflict
 
@@ -206,22 +204,24 @@ def _canonical_key(corpus: EvidenceCorpus, blocks: Sequence[Iterable[str]]) -> t
 
 
 class BlockState:
-    """One block as sorted report indices plus its ``combine_all`` prefix chain.
+    """One block as sorted report indices plus its prefix chain of fold states.
 
-    ``chain[k]`` is (combined mass, survival) after folding ``members[:k + 1]``
-    in ``combine_all``'s order, with survival ``prod(1 - c_step)``; a mass of
-    None marks a saturated prefix (a step raised ``TotalConflictError``, or
-    ``1 - survival`` is already 1.0). The chain grows only as far as a query
-    needs and is cut back where a member is inserted or removed, so a state
-    never holds more masses than the block has members.
+    ``chain[k]`` is the ``_fold_step`` state (focal dict, survival) after
+    folding ``members[:k + 1]`` in corpus order, with survival
+    ``prod(1 - c_step)``; a dict of None marks a saturated prefix (a step
+    raised ``TotalConflictError``, or ``1 - survival`` is already 1.0). The
+    chain grows only as far as a query needs and is cut back where a member
+    is inserted or removed, so a state never holds more dicts than the block
+    has members.
 
     ``toggled(j)`` is the conflict of the block with report j added (or
     removed, if j is a member): it starts from the prefix before j's position
-    and folds j (if added) and then the tail. That is the fold
-    ``cluster_conflict`` does, so the value is bit-identical; a suffix combined
-    on its own and merged with the prefix would not be. Values are memoised
-    per state until the block changes and shared through the corpus conflict
-    cache under frozenset keys, which ``cluster_conflict`` reads too.
+    and folds j (if added) and then the tail, the last step conflict-only.
+    That is the fold ``cluster_conflict`` does, so the value is bit-identical;
+    a suffix combined on its own and merged with the prefix would not be.
+    Values are memoised per state until the block changes and shared through
+    the corpus conflict cache under frozenset keys, which ``cluster_conflict``
+    reads too.
     """
 
     __slots__ = ("corpus", "members", "key", "chain", "known")
@@ -230,38 +230,31 @@ class BlockState:
         self.corpus = corpus
         self.members = members
         self.key = frozenset(corpus.reports[i].id for i in members)
-        self.chain: list[tuple[MassFunction | None, float]] = []
+        self.chain: list[FoldState] = []
         self.known: dict[int, float] = {}
 
-    def _prefix(self, k: int) -> tuple[MassFunction | None, float]:
+    def _prefix(self, k: int) -> FoldState:
         """State after folding ``members[:k]``, k >= 1."""
         chain = self.chain
-        reports = self.corpus.reports
+        members = self.members
         if not chain:
-            chain.append((reports[self.members[0]].evidence, 1.0))
+            chain.append((self.corpus.reports[members[0]].evidence.masses, 1.0))
+        items = self.corpus._items
         while len(chain) < k:
-            chain.append(_fold_step(chain[-1], reports[self.members[len(chain)]].evidence))
+            chain.append(_fold_step(chain[-1], items[members[len(chain)]]))
         return chain[k - 1]
 
     def _fold(self, k: int, tail: list[int]) -> float:
         """Conflict of ``members[:k]`` followed by ``tail``, folded in that order."""
-        reports = self.corpus.reports
-        if k:
-            state = self._prefix(k)
-        else:
-            state, tail = (reports[tail[0]].evidence, 1.0), tail[1:]
-        for i in tail:
-            if state[0] is None:
-                break
-            state = _fold_step(state, reports[i].evidence)
-        return 1.0 - state[1]
+        return _tail_conflict(self.corpus, self._prefix(k) if k else None, tail)
 
     def conflict(self) -> float:
         """``cluster_conflict`` of the block."""
         cache = self.corpus._conflict_cache
         c = cache.get(self.key)
         if c is None:
-            c = cache[self.key] = self._fold(len(self.members), [])
+            k = len(self.members) - 1
+            c = cache[self.key] = self._fold(k, self.members[k:])
         return c
 
     def toggled(self, j: int) -> float:
@@ -294,25 +287,44 @@ class BlockState:
         self.key = self.key ^ {self.corpus.reports[j].id}
 
 
-def _fold_step(
-    state: tuple[MassFunction | None, float], evidence: MassFunction
-) -> tuple[MassFunction | None, float]:
-    """One ``combine_all`` step; a saturated state stays saturated, with survival 0.
+def _fold_step(state: FoldState, items: tuple, last: bool = False) -> FoldState:
+    """One step of a left fold of Dempster's rule over a block in corpus order.
 
-    Once ``1 - survival`` rounds to 1.0 the fold's result is 1.0 whatever
-    follows: every later factor ``1 - c`` is at most 1, so survival only falls.
+    A state is (focal dict, survival ``prod(1 - c_step)``); ``items`` are the
+    next report's (bits, mass) pairs. A saturated state, with a dict of None
+    and survival 0, stays saturated: once ``1 - survival`` rounds to 1.0 the
+    fold's result is 1.0 whatever follows, since every later factor
+    ``1 - c`` is at most 1. With ``last`` only the conflict is computed and
+    the dict is None; only the survival of such a state may be read.
     """
-    mass, survival = state
-    if mass is None:
+    masses, survival = state
+    if masses is None:
         return state
     try:
-        mass, c = combine_dempster(mass, evidence)
+        if last:
+            masses, c = None, _dempster_conflict(masses, items)
+        else:
+            masses, c = _dempster_step(masses, items)
     except TotalConflictError:
         return None, 0.0
     survival *= 1.0 - c
     if 1.0 - survival == 1.0:
         return None, 0.0
-    return mass, survival
+    return masses, survival
+
+
+def _tail_conflict(corpus: EvidenceCorpus, state: FoldState | None, tail: Sequence[int]) -> float:
+    """``1 - survival`` after folding reports ``tail`` onto ``state``, or onto
+    the first of them when state is None; the last step is conflict-only."""
+    if state is None:
+        state, tail = (corpus.reports[tail[0]].evidence.masses, 1.0), tail[1:]
+    items = corpus._items
+    last = len(tail) - 1
+    for n, i in enumerate(tail):
+        if state[0] is None:
+            break
+        state = _fold_step(state, items[i], n == last)
+    return 1.0 - state[1]
 
 
 def _descend(
@@ -494,11 +506,11 @@ def _branch_and_bound(corpus: EvidenceCorpus, prior: DomainPrior, cap: int) -> l
 
     Depth-first over restricted growth strings: reports in corpus order, each
     into an open block by ascending label or into a new one. A block only
-    grows by a report beyond its last index, so its state (combined mass,
-    survival prod(1 - c_step)) is one Dempster step from its parent's, folded
-    in ``combine_all``'s order: ``1 - survival`` is bit-for-bit
-    ``cluster_conflict``. States are memoised per block for the call; a
-    saturated state (see ``_fold_step``) stays saturated in every superset.
+    grows by a report beyond its last index, so its ``_fold_step`` state is
+    one step from its parent's, in corpus order: ``1 - survival`` is
+    bit-for-bit ``cluster_conflict``. A block that ends with the last report
+    never grows, so its step is conflict-only. States are memoised per block
+    for the call; a saturated state stays saturated in every superset.
 
     No completion of a node scores below ``1 - w * prod(1 - c_i)`` over its
     open blocks, with w = ``1 - c0`` of the k blocks it ends with: blocks only
@@ -512,9 +524,9 @@ def _branch_and_bound(corpus: EvidenceCorpus, prior: DomainPrior, cap: int) -> l
     """
     n = len(corpus.reports)
     ids = corpus.ids
-    evidence = [r.evidence for r in corpus.reports]
+    items = corpus._items
     weights = [1.0 - domain_conflict(k, prior) for k in range(1, cap + 1)]
-    states: dict[tuple[int, ...], tuple[MassFunction | None, float]] = {}
+    states: dict[tuple[int, ...], FoldState] = {}
     blocks: list[tuple[int, ...]] = []  # member indices per label
     conflicts: list[float] = []
     best_mcf = math.inf
@@ -524,10 +536,11 @@ def _branch_and_bound(corpus: EvidenceCorpus, prior: DomainPrior, cap: int) -> l
     def conflict_of(block: tuple[int, ...]) -> float:
         state = states.get(block)
         if state is None:
+            last = block[-1]
             if len(block) > 1:
-                state = _fold_step(states[block[:-1]], evidence[block[-1]])
+                state = _fold_step(states[block[:-1]], items[last], last == n - 1)
             else:
-                state = (evidence[block[-1]], 1.0)
+                state = (corpus.reports[last].evidence.masses, 1.0)
             states[block] = state
         return 1.0 - state[1]
 

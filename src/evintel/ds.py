@@ -3,6 +3,12 @@
 Subsets of a frame are encoded as bitmasks over element indices, so focal-set
 identity is exact and intersection is a single ``&``. Frames are expected to
 stay small (tens of elements, not thousands).
+
+Dempster's rule runs on bare focal dicts (bitmask -> mass) in a private
+kernel, ``_dempster_step``; ``_dempster_conflict`` gives the same conflict
+without building the combination, for the last step of a fold. The public
+``combine_dempster`` checks frames and wraps the kernel's dict in a
+``MassFunction``. ``oracle.reference_combine`` is the kernel's check.
 """
 
 from __future__ import annotations
@@ -143,35 +149,70 @@ def vacuous(frame: Frame) -> MassFunction:
     return MassFunction(frame, {frame.full_bits: 1.0})
 
 
-def _normalized(frame: Frame, products: dict[int, float], conflict: float) -> MassFunction:
+def _dempster_step(masses: dict[int, float], items) -> tuple[dict[int, float], float]:
+    """Dempster's rule on a focal dict and an iterable of (bits, mass) pairs.
+
+    Returns the renormalized focal dict, with keys in the order their first
+    product appears, and the conflict. One pass sums the products, one scales
+    them and drops those below ``PRUNE_EPS``; the kept masses are divided by
+    their ``fsum`` unless it is exactly 1.0, where division changes nothing.
+    """
+    products: dict[int, float] = {}
+    conflict_terms: list[float] = []
+    for a, ma in masses.items():
+        for b, mb in items:
+            inter = a & b
+            w = ma * mb
+            if not inter:
+                conflict_terms.append(w)
+            elif inter in products:
+                products[inter] += w
+            else:
+                products[inter] = w  # products are >= 0, so 0.0 + w would be w
+    conflict = min(1.0, math.fsum(conflict_terms))
+    if conflict >= 1.0 - PRUNE_EPS:
+        raise TotalConflictError(conflict)
     scale = 1.0 / (1.0 - conflict)
-    scaled = {bits: v * scale for bits, v in products.items()}
-    # prune numerical dust, then rescale so the invariant holds tightly
-    kept = {bits: v for bits, v in scaled.items() if v >= PRUNE_EPS}
+    kept = {bits: v for bits, w in products.items() if (v := w * scale) >= PRUNE_EPS}
     if not kept:
         raise TotalConflictError(conflict)
     total = math.fsum(kept.values())
-    return MassFunction(frame, {bits: v / total for bits, v in kept.items()})
+    if total != 1.0:
+        kept = {bits: v / total for bits, v in kept.items()}
+    return kept, conflict
+
+
+def _dempster_conflict(masses: dict[int, float], items) -> float:
+    """The conflict ``_dempster_step`` returns, raising where it raises.
+
+    Only the products are formed. The full step also raises when every summed
+    product scales below ``PRUNE_EPS``; a sum is at least its largest term, so
+    that can only happen when the largest product does, and then the full
+    step decides.
+    """
+    conflict_terms: list[float] = []
+    top = 0.0
+    for a, ma in masses.items():
+        for b, mb in items:
+            w = ma * mb
+            if not a & b:
+                conflict_terms.append(w)
+            elif w > top:
+                top = w
+    conflict = min(1.0, math.fsum(conflict_terms))
+    if conflict >= 1.0 - PRUNE_EPS:
+        raise TotalConflictError(conflict)
+    if top * (1.0 / (1.0 - conflict)) < PRUNE_EPS:
+        return _dempster_step(masses, items)[1]
+    return conflict
 
 
 def combine_dempster(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, float]:
     """Dempster's rule; returns the renormalized combination and the conflict mass."""
     if m1.frame != m2.frame:
         raise ValidationError("mass functions live on different frames")
-    products: dict[int, float] = {}
-    conflict_terms: list[float] = []
-    for a, ma in m1.masses.items():
-        for b, mb in m2.masses.items():
-            inter = a & b
-            w = ma * mb
-            if inter:
-                products[inter] = products.get(inter, 0.0) + w
-            else:
-                conflict_terms.append(w)
-    conflict = min(1.0, math.fsum(conflict_terms))
-    if conflict >= 1.0 - PRUNE_EPS:
-        raise TotalConflictError(conflict)
-    return _normalized(m1.frame, products, conflict), conflict
+    masses, conflict = _dempster_step(m1.masses, m2.masses.items())
+    return MassFunction(m1.frame, masses), conflict
 
 
 def combine_all(ms: Sequence[MassFunction]) -> tuple[MassFunction, float]:

@@ -25,18 +25,21 @@ from .cluster import (
     _descend,
     _mcf_value,
     _random_start,
-    cluster_conflict,
     domain_conflict,
     enumerate_partitions,
     exhaustive_search,
     make_partition,
-    metaconflict,
     partition_search,
 )
 from .decide import UtilityIntervalChoice, rho_segmentation
 from .ds import (
+    PRUNE_EPS,
     Frame,
     MassFunction,
+    TotalConflictError,
+    ValidationError,
+    _dempster_conflict,
+    _dempster_step,
     combine_all,
     combine_dempster,
     enumerate_conflict,
@@ -61,6 +64,96 @@ class CheckResult:
     detail: str = ""
 
 
+def _normalized(frame: Frame, products: dict[int, float], conflict: float) -> MassFunction:
+    scale = 1.0 / (1.0 - conflict)
+    scaled = {bits: v * scale for bits, v in products.items()}
+    # prune numerical dust, then rescale so the invariant holds tightly
+    kept = {bits: v for bits, v in scaled.items() if v >= PRUNE_EPS}
+    if not kept:
+        raise TotalConflictError(conflict)
+    total = math.fsum(kept.values())
+    return MassFunction(frame, {bits: v / total for bits, v in kept.items()})
+
+
+def reference_combine(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, float]:
+    """``ds.combine_dempster`` as a dict of products, a list of conflict terms,
+    a scaled copy, a pruned copy and a divided copy: the kernel's check."""
+    if m1.frame != m2.frame:
+        raise ValidationError("mass functions live on different frames")
+    products: dict[int, float] = {}
+    conflict_terms: list[float] = []
+    for a, ma in m1.masses.items():
+        for b, mb in m2.masses.items():
+            inter = a & b
+            w = ma * mb
+            if inter:
+                products[inter] = products.get(inter, 0.0) + w
+            else:
+                conflict_terms.append(w)
+    conflict = min(1.0, math.fsum(conflict_terms))
+    if conflict >= 1.0 - PRUNE_EPS:
+        raise TotalConflictError(conflict)
+    return _normalized(m1.frame, products, conflict), conflict
+
+
+def reference_conflict(corpus: EvidenceCorpus, block) -> float:
+    """``cluster_conflict`` as a left fold of ``reference_combine`` over the
+    block in corpus order, 1.0 on a total conflict, and no cache."""
+    indices = sorted(map(corpus.index_of, block))
+    if len(indices) <= 1:
+        return 0.0
+    acc = corpus.reports[indices[0]].evidence
+    survival = 1.0
+    try:
+        for i in indices[1:]:
+            acc, c = reference_combine(acc, corpus.reports[i].evidence)
+            survival *= 1.0 - c
+    except TotalConflictError:
+        return 1.0
+    return 1.0 - survival
+
+
+def reference_conflicts(corpus: EvidenceCorpus):
+    """``reference_conflict`` on the corpus, memoised per set of report ids."""
+    memo: dict[frozenset, float] = {}
+
+    def conflict_of(block) -> float:
+        key = frozenset(block)
+        c = memo.get(key)
+        if c is None:
+            c = memo[key] = reference_conflict(corpus, key)
+        return c
+
+    return conflict_of
+
+
+def _outcome(combine, *args) -> tuple:
+    """(focal items in dict order, conflict) of a combination, floats as hex,
+    or ("raises", conflict) when it raises ``TotalConflictError``."""
+    try:
+        masses, conflict = combine(*args)
+    except TotalConflictError as exc:
+        return "raises", exc.conflict.hex()
+    if isinstance(masses, MassFunction):
+        masses = masses.masses
+    return [(bits, v.hex()) for bits, v in masses.items()], conflict.hex()
+
+
+def kernel_agrees(m1: MassFunction, m2: MassFunction) -> bool:
+    """``combine_dempster`` and ``ds._dempster_step`` give ``reference_combine``'s
+    focal items in its dict order and its conflict, bit for bit, or raise where
+    it raises with the same conflict; ``ds._dempster_conflict`` gives the same
+    conflict, or raises where it raises."""
+    ref = _outcome(reference_combine, m1, m2)
+    items = tuple(m2.masses.items())
+    conflict_only = _outcome(lambda m, i: ({}, _dempster_conflict(m, i)), m1.masses, items)
+    return (
+        _outcome(combine_dempster, m1, m2) == ref
+        and _outcome(_dempster_step, m1.masses, items) == ref
+        and conflict_only == ("raises" if ref[0] == "raises" else [], ref[1])
+    )
+
+
 def random_mass(frame: Frame, rng: random.Random, max_focals: int = 3) -> MassFunction:
     """Random mass function with a guaranteed frame remainder (so conflict < 1)."""
     n_focals = rng.randint(1, max_focals)
@@ -74,6 +167,18 @@ def random_mass(frame: Frame, rng: random.Random, max_focals: int = 3) -> MassFu
     entries = [(s, w / total) for s, w in zip(subsets, weights)]
     entries.append((frame.elements, weights[-1] / total))
     return make_mass(frame, entries)
+
+
+def random_spread_mass(frame: Frame, rng: random.Random, max_focals: int = 4) -> MassFunction:
+    """Random focal sets with weights spread over 14 orders of magnitude, so
+    that steps near total conflict and dust below ``PRUNE_EPS`` occur; the
+    masses sum to 1 within 5e-10, as ``make_mass`` allows."""
+    masses: dict[int, float] = {}
+    for _ in range(rng.randint(1, max_focals)):
+        bits = rng.randint(1, frame.full_bits)
+        masses[bits] = masses.get(bits, 0.0) + 10.0 ** -rng.uniform(0.0, 14.0)
+    total = math.fsum(masses.values()) / (1.0 + rng.uniform(-5e-10, 5e-10))
+    return MassFunction(frame, {bits: v / total for bits, v in masses.items()})
 
 
 def random_simple_support(frame: Frame, rng: random.Random) -> MassFunction:
@@ -153,21 +258,25 @@ def enumerate_search(
     corpus: EvidenceCorpus, prior: DomainPrior, max_blocks: int | None = None
 ) -> tuple[Partition, MetaConflictReport]:
     """``exhaustive_search`` by scoring every partition of at most
-    min(r_max, n) (or ``max_blocks``) blocks; ties go to the smallest canonical key."""
+    min(r_max, n) (or ``max_blocks``) blocks with ``reference_conflict``; ties
+    go to the smallest canonical key."""
     n = len(corpus.reports)
     cap = min(prior.r_max, n) if max_blocks is None else min(max_blocks, n)
     ids = corpus.ids
+    conflict_of = reference_conflicts(corpus)
     best: tuple[float, tuple, list[list[str]]] | None = None
     for index_blocks in enumerate_partitions(n, cap):
         blocks = [[ids[i] for i in block] for block in index_blocks]
-        conflicts = [cluster_conflict(corpus, b) for b in blocks]
+        conflicts = [conflict_of(b) for b in blocks]
         mcf = _mcf_value(domain_conflict(len(blocks), prior), conflicts)
         key = (mcf, _canonical_key(corpus, blocks))
         if best is None or key < (best[0], best[1]):
             best = (mcf, key[1], blocks)
     assert best is not None
     partition = make_partition(corpus, best[2])
-    return partition, metaconflict(partition, prior)
+    c0 = domain_conflict(partition.n_blocks, prior)
+    conflicts = tuple(conflict_of(b) for b in partition.blocks)
+    return partition, MetaConflictReport(c0, conflicts, _mcf_value(c0, conflicts))
 
 
 def reference_descent(
@@ -176,10 +285,11 @@ def reference_descent(
     blocks: list[list[str]],
     max_sweeps: int,
 ) -> tuple[list[list[str]], float]:
-    """``cluster._descend`` by scoring every move with ``cluster_conflict``: each
-    sweep tries every report in every other block and in a fresh one, and takes
-    the first strictly best move; it stops when no move improves mcf."""
-    conflicts = [cluster_conflict(corpus, b) for b in blocks]
+    """``cluster._descend`` by scoring every move with ``reference_conflict``:
+    each sweep tries every report in every other block and in a fresh one, and
+    takes the first strictly best move; it stops when no move improves mcf."""
+    conflict_of = reference_conflicts(corpus)
+    conflicts = [conflict_of(b) for b in blocks]
     mcf = _mcf_value(domain_conflict(len(blocks), prior), conflicts)
 
     for _ in range(max_sweeps):
@@ -188,7 +298,7 @@ def reference_descent(
         for j, report in enumerate(corpus.reports):
             origin = next(i for i, b in enumerate(blocks) if report.id in b)
             origin_rest = [r for r in blocks[origin] if r != report.id]
-            c_origin_rest = cluster_conflict(corpus, origin_rest) if origin_rest else None
+            c_origin_rest = conflict_of(origin_rest) if origin_rest else None
             targets: list[int] = [t for t in range(len(blocks)) if t != origin]
             if origin_rest:
                 targets.append(-1)  # fresh block last; a singleton's fresh move is a no-op
@@ -199,9 +309,7 @@ def reference_descent(
                         if origin_rest:
                             new_conflicts.append(c_origin_rest)
                     elif i == target:
-                        new_conflicts.append(
-                            cluster_conflict(corpus, blocks[i] + [report.id])
-                        )
+                        new_conflicts.append(conflict_of(blocks[i] + [report.id]))
                     else:
                         new_conflicts.append(conflicts[i])
                 if target == -1:
@@ -222,9 +330,27 @@ def reference_descent(
         else:
             blocks[target] = blocks[target] + [rid]
         blocks = [b for b in blocks if b]
-        conflicts = [cluster_conflict(corpus, b) for b in blocks]
+        conflicts = [conflict_of(b) for b in blocks]
         mcf = best_cand
     return blocks, mcf
+
+
+def check_dempster_step(seed: int, trials: int) -> CheckResult:
+    """``kernel_agrees`` along random folds: a running combination against the
+    next random mass, with weights spread down to 1e-14, until a total conflict."""
+    rng = random.Random(seed)
+    mismatches = 0
+    for _ in range(trials):
+        frame = Frame(tuple("abcde"[: rng.randint(1, 5)]))
+        acc = random_spread_mass(frame, rng)
+        for _ in range(rng.randint(1, 6)):
+            m = random_spread_mass(frame, rng) if rng.random() < 0.5 else random_mass(frame, rng)
+            mismatches += not kernel_agrees(acc, m)
+            try:
+                acc, _ = reference_combine(acc, m)
+            except TotalConflictError:
+                break
+    return CheckResult("Dempster step vs reference combine", mismatches == 0, float(mismatches))
 
 
 def check_sequential_conflict(seed: int, trials: int) -> CheckResult:
@@ -361,8 +487,7 @@ def check_partition_branch_and_bound(seed: int, trials: int) -> CheckResult:
         prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.4)
         max_blocks = rng.choice((None, rng.randint(1, n)))
         part, report = exhaustive_search(corpus, prior, max_blocks)
-        fresh = EvidenceCorpus(corpus.frame, corpus.reports)
-        oracle_part, oracle_report = enumerate_search(fresh, prior, max_blocks)
+        oracle_part, oracle_report = enumerate_search(corpus, prior, max_blocks)
         if part.blocks != oracle_part.blocks or report != oracle_report:
             mismatches += 1
     return CheckResult("partition branch-and-bound vs enumeration", mismatches == 0, float(mismatches))
@@ -371,16 +496,16 @@ def check_partition_branch_and_bound(seed: int, trials: int) -> CheckResult:
 def descents_agree(
     corpus: EvidenceCorpus, prior: DomainPrior, start: list[list[str]], max_sweeps: int
 ) -> bool:
-    """``cluster._descend`` and ``reference_descent`` from the same start, the
-    reference on a fresh corpus: the same blocks in the same order, a bit-equal
-    mcf, and every conflict the descent cached bit-equal to ``cluster_conflict``."""
-    fresh = EvidenceCorpus(corpus.frame, corpus.reports)
+    """``cluster._descend`` and ``reference_descent`` from the same start: the
+    same blocks in the same order, a bit-equal mcf, and every conflict the
+    descent cached bit-equal to ``reference_conflict``, which folds
+    ``reference_combine`` and so shares no step with the descent."""
     blocks, mcf = _descend(corpus, prior, [list(b) for b in start], max_sweeps)
-    ref_blocks, ref_mcf = reference_descent(fresh, prior, [list(b) for b in start], max_sweeps)
+    ref_blocks, ref_mcf = reference_descent(corpus, prior, [list(b) for b in start], max_sweeps)
     return (
         blocks == [sorted(b, key=corpus.index_of) for b in ref_blocks]
         and mcf == ref_mcf
-        and all(cluster_conflict(fresh, key) == c for key, c in corpus._conflict_cache.items())
+        and all(reference_conflict(corpus, key) == c for key, c in corpus._conflict_cache.items())
     )
 
 
@@ -415,4 +540,5 @@ def run_all_checks(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         check_track_normalization(seed + 7, trials),
         check_partition_branch_and_bound(seed + 8, trials),
         check_partition_descent(seed + 9, trials),
+        check_dempster_step(seed + 10, trials),
     ]

@@ -18,12 +18,14 @@ from evintel.cluster import (
     partition_search,
 )
 from evintel.cluster import _descend, _random_start  # noqa: PLC2701 - descent properties
-from evintel.ds import Frame, ValidationError, make_mass, vacuous
+from evintel.ds import Frame, TotalConflictError, ValidationError, make_mass, vacuous
 from evintel.oracle import (
     descents_agree,
     enumerate_search,
     mixed_corpus,
     random_prior,
+    reference_combine,
+    reference_conflict,
     separable_corpus,
 )
 from evintel.pipeline import parse_document
@@ -373,25 +375,62 @@ class TestIncrementalDescent:
 
     def test_block_state_conflicts_match_cluster_conflict(self):
         # block +/- j, the block itself and the block after each toggle, bit for
-        # bit, on blocks where a categorical report makes total conflicts
+        # bit, on blocks where a categorical report makes total conflicts; the
+        # reference folds oracle.reference_combine, cluster_conflict the same kernel
         rng = random.Random(101)
         totals = 0
         for _ in range(60):
             corpus = mixed_corpus(rng, rng.randint(2, 9), rng.randint(2, 3), categorical_share=0.3)
             fresh = EvidenceCorpus(corpus.frame, corpus.reports)
             ids = corpus.ids
+
+            def expected(indices):
+                block = [ids[i] for i in indices]
+                c = reference_conflict(corpus, block)
+                assert cluster_conflict(fresh, block) == c
+                return c
+
             members = sorted(rng.sample(range(len(ids)), rng.randint(1, len(ids))))
             state = BlockState(corpus, list(members))
-            assert state.conflict() == cluster_conflict(fresh, [ids[i] for i in members])
+            assert state.conflict() == expected(members)
             for j in range(len(ids)):
                 toggled = set(members) ^ {j}
                 if toggled:
-                    c = cluster_conflict(fresh, [ids[i] for i in toggled])
+                    c = expected(toggled)
                     assert state.toggled(j) == c
                     totals += c == 1.0
             for j in rng.sample(range(len(ids)), len(ids)):
                 if len(state.members) > 1 or state.members != [j]:
                     state.toggle(j)
                     corpus._conflict_cache.clear()
-                    assert state.conflict() == cluster_conflict(fresh, [ids[i] for i in state.members])
+                    fresh._conflict_cache.clear()
+                    assert state.conflict() == expected(state.members)
         assert totals > 0
+
+    def test_toggled_is_one_when_the_last_step_saturates(self):
+        # rounding: e1 and e2 leave survival about 2e-11 and e3 about 2e-22, so
+        # 1 - survival is 1.0 although no step raises; raising: e1 and e2 leave
+        # all mass on A, and e3 puts all of it on B. The vacuous report lets the
+        # same last step close a removal's refold (block minus "v").
+        frame = Frame(("A", "B", "C"))
+        x = 1e-11
+        rounding = [simple(frame, "A", 1 - x), simple(frame, "B", 1 - x), simple(frame, "C", 1 - x)]
+        raising = [make_mass(frame, [(("A",), 1.0)]), simple(frame, "A", 0.5), make_mass(frame, [(("B",), 1.0)])]
+        for e1, e2, e3 in (rounding, raising):
+
+            def state(*members):  # on a corpus of its own, so no value comes from a cache
+                corpus = corpus_of(frame, ("e1", e1), ("e2", e2), ("v", vacuous(frame)), ("e3", e3))
+                return BlockState(corpus, list(members))
+
+            pair, c12 = reference_combine(e1, e2)
+            try:
+                _, c3 = reference_combine(pair, e3)
+            except TotalConflictError:
+                assert e3 is raising[2]
+            else:
+                assert e3 is rounding[2]
+                assert c3 < 1 - 1e-12 and 1.0 - (1.0 - c12) * (1.0 - c3) == 1.0
+            assert state(0, 1).toggled(3) == 1.0
+            assert state(0, 1, 2, 3).toggled(2) == 1.0
+            assert state(0, 1, 3).conflict() == 1.0
+            assert reference_conflict(state(0).corpus, ["e1", "e2", "e3"]) == 1.0

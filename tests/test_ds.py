@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from conftest import ABCD, masses
 from evintel.ds import (
+    PRUNE_EPS,
     FocalSet,
     Frame,
     TotalConflictError,
@@ -18,7 +19,14 @@ from evintel.ds import (
     query_bel_pls,
     vacuous,
 )
-from evintel.oracle import random_mass, random_simple_support
+from evintel.ds import _dempster_conflict, _dempster_step  # noqa: PLC2701 - kernel vs reference
+from evintel.oracle import (
+    kernel_agrees,
+    random_mass,
+    random_simple_support,
+    random_spread_mass,
+    reference_combine,
+)
 
 AB = Frame(("A", "B"))
 ABC = Frame(("A", "B", "C"))
@@ -111,6 +119,90 @@ class TestCombine:
     def test_frame_mismatch(self):
         with pytest.raises(ValidationError, match="different frames"):
             combine_dempster(vacuous(AB), vacuous(ABC))
+
+
+class TestDempsterKernel:
+    """combine_dempster, _dempster_step and _dempster_conflict against
+    oracle.reference_combine, bit for bit (see oracle.kernel_agrees)."""
+
+    def test_random_folds(self):
+        # a running combination against the next mass, as a fold does it
+        rng = random.Random(29)
+        raised = 0
+        for _ in range(1500):
+            frame = Frame(tuple("ABCDE"[: rng.randint(1, 5)]))
+            acc = random_spread_mass(frame, rng)
+            for _ in range(rng.randint(1, 6)):
+                m = random_spread_mass(frame, rng) if rng.random() < 0.5 else random_mass(frame, rng)
+                assert kernel_agrees(acc, m)
+                try:
+                    acc, _ = reference_combine(acc, m)
+                except TotalConflictError:
+                    raised += 1
+                    break
+        assert raised > 0
+
+    def test_no_conflict_terms(self):
+        m1 = m_of(ABC, (("A",), 0.6), (("A", "B"), 0.4))
+        m2 = m_of(ABC, (("A", "C"), 0.3), (("A", "B", "C"), 0.7))
+        assert kernel_agrees(m1, m2)
+        assert reference_combine(m1, m2)[1] == 0.0
+
+    def test_dust_is_pruned(self):
+        # A & AB = A carries 1e-14, below PRUNE_EPS after scaling; the rest is divided
+        m1 = m_of(ABC, (("A",), 1e-7), (("B", "C"), 1 - 1e-7))
+        m2 = m_of(ABC, (("A", "B"), 1e-7), (("B", "C"), 1 - 1e-7))
+        assert kernel_agrees(m1, m2)
+        combined, _ = combine_dempster(m1, m2)
+        assert ABC.bits_of("A") not in combined.masses
+        assert len(combined.masses) == 2
+
+    @pytest.mark.parametrize("excess", [9e-10, -9e-10])
+    def test_inputs_off_one_by_mass_tol(self, excess):
+        m1 = m_of(ABC, (("A",), 0.3), (("B",), 0.2), (("A", "B", "C"), 0.5 + excess))
+        m2 = m_of(ABC, (("B", "C"), 0.45), (("A", "B", "C"), 0.55 - excess))
+        assert kernel_agrees(m1, m2)
+        assert kernel_agrees(m2, m1)
+
+    def test_conflict_just_under_the_limit(self):
+        x = 1e-12
+        m1 = m_of(AB, (("A",), 1 - x), (("A", "B"), x))
+        m2 = m_of(AB, (("B",), 1 - x), (("A", "B"), x))
+        assert kernel_agrees(m1, m2)
+        conflict = _dempster_conflict(m1.masses, tuple(m2.masses.items()))
+        assert 1 - 3e-12 < conflict < 1 - PRUNE_EPS
+        # one step closer to total conflict raises on every route
+        y = 4e-13
+        m3 = m_of(AB, (("A",), 1 - y), (("A", "B"), y))
+        m4 = m_of(AB, (("B",), 1 - y), (("A", "B"), y))
+        assert kernel_agrees(m3, m4)
+        with pytest.raises(TotalConflictError):
+            _dempster_conflict(m3.masses, tuple(m4.masses.items()))
+
+    def test_every_survivor_below_prune_eps_raises(self):
+        # inputs sum to 1 - 5e-10: the conflict stops short of the limit, but the
+        # one surviving product, 1e-25, scales to about 2e-16
+        m1 = m_of(AB, (("A",), 1 - 5e-10), (("A", "B"), 1e-25))
+        m2 = m_of(AB, (("B",), 1.0))
+        items = tuple(m2.masses.items())
+        with pytest.raises(TotalConflictError) as exc:
+            reference_combine(m1, m2)
+        assert exc.value.conflict < 1 - PRUNE_EPS
+        with pytest.raises(TotalConflictError):
+            _dempster_step(m1.masses, items)
+        with pytest.raises(TotalConflictError):
+            _dempster_conflict(m1.masses, items)
+        assert kernel_agrees(m1, m2)
+
+    def test_small_products_that_sum_past_prune_eps_survive(self):
+        # each product on B scales below PRUNE_EPS, their sum does not: the
+        # conflict-only step falls back to the full one, which does not raise
+        m1 = m_of(ABC, (("A",), 1 - 5e-10), (("A", "B"), 8e-22))
+        m2 = m_of(ABC, (("B",), 0.5), (("B", "C"), 0.5))
+        combined, conflict = reference_combine(m1, m2)
+        assert list(combined.masses) == [ABC.bits_of("B")]
+        assert _dempster_conflict(m1.masses, tuple(m2.masses.items())) == conflict
+        assert kernel_agrees(m1, m2)
 
 
 class TestCombineAll:
