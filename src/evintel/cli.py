@@ -120,12 +120,18 @@ def _write_dot(result: pl.PipelineResult, dot_path: Path) -> None:
         path.write_text(tracks.dot_export(graph), encoding="utf-8")
 
 
+def _load(args) -> tuple[dict, str]:
+    """The input document, and the file name every error message gives."""
+    where = str(Path(args.input))
+    return pl.load_document(where), where
+
+
 def _run_stage_command(args) -> int:
-    doc = pl.load_document(args.input)
-    corpus, prior = pl.parse_document(doc, where=str(Path(args.input)))
+    doc, where = _load(args)
+    corpus, prior = pl.parse_document(doc, where=where)
     if args.rmax is not None:
         prior = DomainPrior.uniform(args.rmax)
-    decision = pl.parse_decision(doc, where=args.input) if args.command == "pipeline" else None
+    decision = pl.parse_decision(doc, where=where) if args.command == "pipeline" else None
     result = pl.run_pipeline(corpus, prior, _config(args), decision=decision, stages=_STAGES[args.command])
     if getattr(args, "dot", None) is not None:
         _write_dot(result, args.dot)
@@ -134,9 +140,10 @@ def _run_stage_command(args) -> int:
 
 
 def _run_decide(args) -> int:
-    decision = pl.parse_decision(pl.load_document(args.input), where=args.input)
+    doc, where = _load(args)
+    decision = pl.parse_decision(doc, where=where)
     if decision is None:
-        raise ValidationError(f"{args.input}: no decision section")
+        raise ValidationError(f"{where}: no decision section")
     result = pl.analyze_decision(decision[1], args.rho)
     _emit({"decision": pl.decision_to_json(result)}, pl.format_decision(result) + "\n", args.out)
     return 0

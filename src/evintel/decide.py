@@ -6,7 +6,11 @@ parameter rho in [0, 1] picks the point value E_low + rho (E_high - E_low);
 which alternative is best is then piecewise constant in rho, and an
 alternative's preference is the total length of rho where it wins. The same
 machinery scores sequential games where each player wants to end up holding
-the highest point value on the table.
+the highest point value on the table. Each play computes every choice's value
+at rho once; backward induction on those values, memoised on (maker, highest
+value so far), reduces to every maker taking its earliest-listed highest
+value (see ``_solve``). ``oracle.reference_play``, which recomputes values at
+every node of the game tree, is the check.
 """
 
 from __future__ import annotations
@@ -137,24 +141,26 @@ def rho_segmentation(choices: Sequence[UtilityIntervalChoice]) -> RhoSegmentatio
     return _segmentation(_breakpoints(choices), ids, lambda rho: _winners_at(choices, rho))
 
 
-def _play(makers: Sequence[DecisionMaker], t: int, chosen: list[UtilityIntervalChoice], rho: float) -> tuple[UtilityIntervalChoice, ...]:
-    """Backward induction: win the table if possible, then maximize own value,
-    then take the earliest-listed alternative."""
-    if t == len(makers):
-        return tuple(chosen)
-    best_key: tuple[bool, float] | None = None
-    best_outcome: tuple[UtilityIntervalChoice, ...] | None = None
-    for choice in makers[t].choices:
-        chosen.append(choice)
-        outcome = _play(makers, t + 1, chosen, rho)
-        chosen.pop()
-        own = choice.value_at(rho)
-        table_max = max(c.value_at(rho) for c in outcome)
-        key = (own >= table_max, own)
-        if best_key is None or key > best_key:
-            best_key, best_outcome = key, outcome
-    assert best_outcome is not None
-    return best_outcome
+def _solve(makers: Sequence[DecisionMaker], rho: float) -> tuple[list[tuple[UtilityIntervalChoice, float]], float]:
+    """The subgame-perfect outcome at rho as (choice, value) per maker, and its
+    table maximum, from each choice's value computed once.
+
+    Backward induction (``oracle.reference_play``, the check) memoised on
+    (maker t, highest earlier value top) needs one entry per maker, since a
+    maker's pick does not depend on top. By induction from the last maker,
+    suppose every later maker plays its highest value whatever came before,
+    so their values have a fixed maximum R (none for the last maker). Choice i at maker t then has the key (v_i >= max(top, v_i, R), v_i),
+    which never falls as v_i rises, and max is exact on floats. So the
+    earliest-listed highest value has the highest key, and every choice listed
+    before it has a lower value and so a strictly lower key: maker t plays it,
+    whatever top is.
+    """
+    outcome = []
+    for m in makers:
+        values = [c.value_at(rho) for c in m.choices]
+        i = values.index(max(values))
+        outcome.append((m.choices[i], values[i]))
+    return outcome, max(v for _, v in outcome)
 
 
 def _validate_game(makers: Sequence[DecisionMaker]) -> None:
@@ -165,28 +171,35 @@ def _validate_game(makers: Sequence[DecisionMaker]) -> None:
         raise ValidationError("choice ids must be unique across the game")
 
 
+def check_rho(rho: float) -> None:
+    """Refuse a rho outside [0, 1], with the message every command gives."""
+    if not 0.0 <= rho <= 1.0:  # also refuses nan
+        raise ValidationError("rho must lie in [0, 1]")
+
+
 def sequential_play(makers: Sequence[DecisionMaker], rho: float) -> dict[str, str]:
-    """Subgame-perfect assignment of one choice per decision maker at a fixed rho."""
+    """Subgame-perfect assignment of one choice per decision maker at a fixed
+    rho, solved on a value table computed once (see ``_solve``) and checked
+    against ``oracle.reference_play``."""
     _validate_game(makers)
-    if not 0.0 <= rho <= 1.0:
-        raise ValidationError(f"rho {rho} outside [0, 1]")
-    outcome = _play(makers, 0, [], rho)
-    return {m.id: c.id for m, c in zip(makers, outcome)}
+    check_rho(rho)
+    outcome, _ = _solve(makers, rho)
+    return {m.id: c.id for m, (c, _) in zip(makers, outcome)}
 
 
 def game_preferences(makers: Sequence[DecisionMaker]) -> RhoSegmentation:
     """Competitive preference of every alternative over unknown rho.
 
     The solved game's outcome is piecewise constant between crossings of the
-    alternatives' value lines, so each segment is played once at its midpoint
-    and the winning (table-maximal) alternatives collect its length.
+    alternatives' value lines, so each segment is played once at its midpoint,
+    on a value table computed for that rho (see ``_solve``), and the winning
+    (table-maximal) alternatives collect its length.
     """
     _validate_game(makers)
     all_choices = [c for m in makers for c in m.choices]
 
     def winners_at(rho: float) -> tuple[str, ...]:
-        outcome = _play(makers, 0, [], rho)
-        table_max = max(c.value_at(rho) for c in outcome)
-        return tuple(c.id for c in outcome if c.value_at(rho) == table_max)
+        outcome, table_max = _solve(makers, rho)
+        return tuple(c.id for c, v in outcome if v == table_max)
 
     return _segmentation(_breakpoints(all_choices), [c.id for c in all_choices], winners_at)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import posterior as post
 from .cluster import (
@@ -31,7 +32,16 @@ from .cluster import (
     make_partition,
     partition_search,
 )
-from .decide import UtilityIntervalChoice, rho_segmentation
+from .decide import (
+    DecisionMaker,
+    RhoSegmentation,
+    UtilityIntervalChoice,
+    _breakpoints,
+    _segmentation,
+    game_preferences,
+    rho_segmentation,
+    sequential_play,
+)
 from .ds import (
     PRUNE_EPS,
     Frame,
@@ -335,6 +345,76 @@ def reference_descent(
     return blocks, mcf
 
 
+def reference_play(makers: Sequence[DecisionMaker], t: int, chosen: list[UtilityIntervalChoice], rho: float) -> tuple[UtilityIntervalChoice, ...]:
+    """Backward induction: win the table if possible, then maximize own value,
+    then take the earliest-listed alternative."""
+    if t == len(makers):
+        return tuple(chosen)
+    best_key: tuple[bool, float] | None = None
+    best_outcome: tuple[UtilityIntervalChoice, ...] | None = None
+    for choice in makers[t].choices:
+        chosen.append(choice)
+        outcome = reference_play(makers, t + 1, chosen, rho)
+        chosen.pop()
+        own = choice.value_at(rho)
+        table_max = max(c.value_at(rho) for c in outcome)
+        key = (own >= table_max, own)
+        if best_key is None or key > best_key:
+            best_key, best_outcome = key, outcome
+    assert best_outcome is not None
+    return best_outcome
+
+
+def reference_game_preferences(makers: Sequence[DecisionMaker]) -> RhoSegmentation:
+    """``game_preferences`` with every segment midpoint played by ``reference_play``."""
+    all_choices = [c for m in makers for c in m.choices]
+
+    def winners_at(rho: float) -> tuple[str, ...]:
+        outcome = reference_play(makers, 0, [], rho)
+        table_max = max(c.value_at(rho) for c in outcome)
+        return tuple(c.id for c in outcome if c.value_at(rho) == table_max)
+
+    return _segmentation(_breakpoints(all_choices), [c.id for c in all_choices], winners_at)
+
+
+def games_agree(makers: Sequence[DecisionMaker]) -> bool:
+    """``sequential_play`` equals ``reference_play`` at rho = 0, 1, every
+    breakpoint and every segment midpoint, and ``game_preferences`` equals
+    ``reference_game_preferences``: the same segments and preferences, float
+    for float."""
+    points = _breakpoints([c for m in makers for c in m.choices])
+    for rho in points + [(lo + hi) / 2.0 for lo, hi in zip(points, points[1:])]:
+        want = {m.id: c.id for m, c in zip(makers, reference_play(makers, 0, [], rho))}
+        if sequential_play(makers, rho) != want:
+            return False
+    return game_preferences(makers) == reference_game_preferences(makers)
+
+
+def random_game(rng: random.Random, max_makers: int = 4, max_choices: int = 4, tie_share: float = 0.5) -> list[DecisionMaker]:
+    """Random sequential game where ties are common. With probability
+    ``tie_share / 3`` a maker has a single choice; with ``tie_share / 3`` each,
+    a choice's interval repeats an earlier one (an affinely identical choice),
+    lies on a grid of quarters or has zero width."""
+    makers: list[DecisionMaker] = []
+    intervals: list[tuple[float, float]] = []
+    for t in range(rng.randint(1, max_makers)):
+        choices = []
+        for _ in range(1 if rng.random() < tie_share / 3 else rng.randint(1, max_choices)):
+            u = rng.random() / tie_share if tie_share else 1.0
+            if u < 1 / 3 and intervals:
+                lo, hi = rng.choice(intervals)
+            elif u < 2 / 3:
+                lo, hi = sorted((rng.randint(0, 4) / 4, rng.randint(0, 4) / 4))
+            elif u < 1.0:
+                lo = hi = rng.choice((rng.randint(0, 4) / 4, rng.random()))
+            else:
+                lo, hi = sorted((rng.random(), rng.random()))
+            intervals.append((lo, hi))
+            choices.append(UtilityIntervalChoice(f"c{len(intervals)}", lo, hi))
+        makers.append(DecisionMaker(f"dm{t}", tuple(choices)))
+    return makers
+
+
 def check_dempster_step(seed: int, trials: int) -> CheckResult:
     """``kernel_agrees`` along random folds: a running combination against the
     next random mass, with weights spread down to 1e-14, until a total conflict."""
@@ -528,6 +608,13 @@ def check_partition_descent(seed: int, trials: int) -> CheckResult:
     return CheckResult("partition descent vs reference descent", mismatches == 0, float(mismatches))
 
 
+def check_game_solver(seed: int, trials: int) -> CheckResult:
+    """``games_agree`` on tie-heavy random games of up to 4 makers x 4 choices."""
+    rng = random.Random(seed)
+    mismatches = sum(not games_agree(random_game(rng)) for _ in range(trials))
+    return CheckResult("game solver vs backward induction", mismatches == 0, float(mismatches))
+
+
 def run_all_checks(seed: int = 0, trials: int = 25) -> list[CheckResult]:
     return [
         check_sequential_conflict(seed, trials),
@@ -541,4 +628,5 @@ def run_all_checks(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         check_partition_branch_and_bound(seed + 8, trials),
         check_partition_descent(seed + 9, trials),
         check_dempster_step(seed + 10, trials),
+        check_game_solver(seed + 11, trials),
     ]

@@ -54,8 +54,8 @@ class PipelineConfig:
             raise ValidationError("v_max must be positive")
         if not 0.0 <= self.q_cap < 1.0:
             raise ValidationError("q_cap must lie in [0, 1)")
-        if self.rho is not None and not 0.0 <= self.rho <= 1.0:
-            raise ValidationError("rho must lie in [0, 1]")
+        if self.rho is not None:
+            decide.check_rho(self.rho)
 
 
 @dataclass(frozen=True)
@@ -259,9 +259,10 @@ def _track_block(
 def analyze_decision(
     makers: list[decide.DecisionMaker], rho: float | None = None
 ) -> DecisionResult:
+    # played first, so that a rho outside [0, 1] is refused before the sweep over rho
+    assignment = decide.sequential_play(makers, rho) if rho is not None else None
     intervals = {m.id: {c.id: (c.e_low, c.e_high) for c in m.choices} for m in makers}
     segmentation = decide.game_preferences(makers)
-    assignment = decide.sequential_play(makers, rho) if rho is not None else None
     return DecisionResult(intervals, segmentation, assignment)
 
 

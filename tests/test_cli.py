@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from evintel import decide, pipeline
 from evintel.cli import main
 
 DECISION_DOC = {
@@ -240,6 +241,35 @@ class TestExitCodes:
             assert main(command + [str(bad)]) == 2, command
             err = capsys.readouterr().err
             assert f"{bad}: " in err and message in err, (command, err)
+
+    @pytest.mark.parametrize("rho", ["1.5", "-0.5", "nan", "inf"])
+    def test_bad_rho_refused_alike_before_any_analysis(self, tmp_path, capsys, monkeypatch, rho):
+        path = write_json(tmp_path / "d.json", DECISION_DOC)
+
+        def no_analysis(*args):
+            raise AssertionError("analysis ran")
+
+        monkeypatch.setattr(decide, "game_preferences", no_analysis)
+        monkeypatch.setattr(pipeline, "partition_search", no_analysis)
+        for command in ("decide", "pipeline"):
+            assert main([command, str(path), f"--rho={rho}"]) == 2, command
+            assert capsys.readouterr().err == "error: rho must lie in [0, 1]\n", command
+
+    def test_relative_path_named_alike_in_every_message(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bad_corpus = edited(FUZZ_DOC, ("reports",), "r1")
+        bad_decision = edited(FUZZ_DOC, MAKERS, {"id": "dm1"})
+        no_decision = edited(FUZZ_DOC, ("decision",), None)
+        for command, doc in [
+            ("pipeline", bad_corpus),
+            ("pipeline", bad_decision),
+            ("decide", bad_decision),
+            ("decide", no_decision),
+        ]:
+            write_json(tmp_path / "x.json", doc)
+            assert main([command, "./x.json"]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: x.json: "), (command, err)
 
     def test_threads_below_one_exit_2(self, scenario_file, capsys):
         assert main(["pipeline", str(scenario_file), "--threads", "0"]) == 2

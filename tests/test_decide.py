@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_game, spe_by_profile_enumeration, spe_by_tables
+from evintel import oracle
 from evintel.decide import (
     DecisionMaker,
     UtilityBpa,
@@ -224,3 +225,52 @@ class TestGamePreferences:
                     counts[w] += 1.0 / (grid * len(winners))
             for cid in prefs:
                 assert prefs[cid] == pytest.approx(counts[cid], abs=2e-3)
+
+
+def full_game(rng, n_makers, n_choices):
+    """``n_makers`` makers with ``n_choices`` random intervals each."""
+    return [
+        DecisionMaker(
+            f"dm{t}",
+            tuple(choice(f"c{t}_{i}", *sorted((rng.random(), rng.random()))) for i in range(n_choices)),
+        )
+        for t in range(n_makers)
+    ]
+
+
+class TestGameSolver:
+    def test_matches_reference_play_on_tie_heavy_games(self):
+        rng = random.Random(71)
+        for _ in range(2000):
+            makers = oracle.random_game(rng, max_makers=4, max_choices=4, tie_share=0.5)
+            assert oracle.games_agree(makers), makers
+
+    def test_eight_makers_match_reference_play(self):
+        makers = full_game(random.Random(73), 8, 4)
+        for rho in (0.0, 0.25, 0.5, 0.8, 1.0):
+            want = oracle.reference_play(makers, 0, [], rho)
+            assert sequential_play(makers, rho) == {m.id: c.id for m, c in zip(makers, want)}
+
+    def test_eight_makers_game_preferences_in_full(self):
+        # 4^8 histories at each of 188 midpoints: close to a minute by
+        # reference_play, which here plays only the merged segments.
+        makers = full_game(random.Random(73), 8, 4)
+        seg = game_preferences(makers)
+        assert sum(seg.preferences.values()) == pytest.approx(1.0, abs=1e-9)
+        assert seg.segments[0].lo == 0.0 and seg.segments[-1].hi == 1.0
+        for s, t in zip(seg.segments, seg.segments[1:]):
+            assert s.hi == t.lo and s.winners != t.winners
+        for s in seg.segments:
+            rho = (s.lo + s.hi) / 2.0
+            outcome = oracle.reference_play(makers, 0, [], rho)
+            table_max = max(c.value_at(rho) for c in outcome)
+            assert s.winners == tuple(c.id for c in outcome if c.value_at(rho) == table_max)
+
+    def test_random_game_makes_ties(self):
+        rng = random.Random(75)
+        games = [oracle.random_game(rng, 4, 4, tie_share=0.5) for _ in range(200)]
+        intervals = [(c.e_low, c.e_high) for g in games for m in g for c in m.choices]
+        assert any(len(m.choices) == 1 for g in games for m in g)
+        assert any(lo == hi for lo, hi in intervals)
+        assert len(set(intervals)) < len(intervals)
+        assert any(len(s.winners) > 1 for g in games for s in game_preferences(g).segments)
