@@ -183,7 +183,7 @@ def domain_conflict(n: int, prior: DomainPrior) -> float:
 
 
 def _mcf_value(c0: float, cluster_conflicts: Sequence[float]) -> float:
-    return 1.0 - (1.0 - c0) * math.prod(1.0 - c for c in cluster_conflicts)
+    return 1.0 - (1.0 - c0) * math.prod([1.0 - c for c in cluster_conflicts])
 
 
 def metaconflict(partition: Partition, prior: DomainPrior) -> MetaConflictReport:
@@ -204,34 +204,51 @@ def _canonical_key(corpus: EvidenceCorpus, blocks: Sequence[Iterable[str]]) -> t
 
 
 class BlockState:
-    """One block as sorted report indices plus its prefix chain of fold states.
+    """One block as sorted report indices plus two chains of fold states.
 
     ``chain[k]`` is the ``_fold_step`` state (focal dict, survival) after
     folding ``members[:k + 1]`` in corpus order, with survival
-    ``prod(1 - c_step)``; a dict of None marks a saturated prefix (a step
-    raised ``TotalConflictError``, or ``1 - survival`` is already 1.0). The
-    chain grows only as far as a query needs and is cut back where a member
-    is inserted or removed, so a state never holds more dicts than the block
-    has members.
+    ``prod(1 - c_step)``; a dict of None marks a saturated state (a step
+    raised ``TotalConflictError``, or ``1 - survival`` is already 1.0).
+    ``suffix[k]`` is the state after folding the last ``k + 1`` members from
+    the last one backwards. Both chains grow only as far as a query needs and
+    are cut back where a member is inserted or removed, so a state never holds
+    more dicts than twice the block's members.
 
-    ``toggled(j)`` is the conflict of the block with report j added (or
-    removed, if j is a member): it starts from the prefix before j's position
-    and folds j (if added) and then the tail, the last step conflict-only.
-    That is the fold ``cluster_conflict`` does, so the value is bit-identical;
-    a suffix combined on its own and merged with the prefix would not be.
-    Values are memoised per state until the block changes and shared through
-    the corpus conflict cache under frozenset keys, which ``cluster_conflict``
-    reads too.
+    ``conflict()`` is ``1 - survival`` of the whole prefix chain, which is
+    ``cluster_conflict`` bit for bit; it shares the corpus conflict cache.
+    The conflict of the block with report j
+    added, or removed if j is a member, has two routes:
+
+    - ``toggled(j)`` starts from the prefix before j's position and folds j
+      (if added) and then the tail, the last step conflict-only. That is the
+      fold ``cluster_conflict`` does, so the value is bit-identical; it is
+      shared through the corpus conflict cache, which ``cluster_conflict``
+      reads too. ``specify`` prints these values.
+    - ``moved(j)`` takes at most one ``_fold_step``, since Dempster
+      normalizers compose: an add is the whole prefix chain's state combined
+      with j, conflict-only; a removal is the prefix before j combined with
+      the suffix after it, their survivals multiplied, and the removal of the
+      first or last member is a chain state as it is. The value equals
+      ``toggled(j)`` up to rounding, the ``PRUNE_EPS`` dust each fold order
+      drops, and about twice the amount by which a report's masses miss 1
+      (``make_mass`` accepts up to ``MASS_TOL``): each report's masses enter
+      one step as they are, and the two routes give that step different
+      conflicts. It depends only on the block's members and j, and is kept
+      in ``known``: ``memo``'s dict for the current members, so states with
+      the same members share it. The descent scores its moves this way.
     """
 
-    __slots__ = ("corpus", "members", "key", "chain", "known")
+    __slots__ = ("corpus", "members", "key", "chain", "suffix", "memo", "known")
 
-    def __init__(self, corpus: EvidenceCorpus, members: list[int]):
+    def __init__(self, corpus: EvidenceCorpus, members: list[int], memo: dict | None = None):
         self.corpus = corpus
         self.members = members
         self.key = frozenset(corpus.reports[i].id for i in members)
         self.chain: list[FoldState] = []
-        self.known: dict[int, float] = {}
+        self.suffix: list[FoldState] = []
+        self.memo: dict[frozenset[int], dict[int, float]] = {} if memo is None else memo
+        self.known = self.memo.setdefault(frozenset(members), {})
 
     def _prefix(self, k: int) -> FoldState:
         """State after folding ``members[:k]``, k >= 1."""
@@ -244,6 +261,19 @@ class BlockState:
             chain.append(_fold_step(chain[-1], items[members[len(chain)]]))
         return chain[k - 1]
 
+    def _suffix(self, k: int) -> FoldState:
+        """State after folding ``members[k:]`` from the last member backwards,
+        k < len(members)."""
+        suffix = self.suffix
+        members = self.members
+        if not suffix:
+            suffix.append((self.corpus.reports[members[-1]].evidence.masses, 1.0))
+        items = self.corpus._items
+        n = len(members)
+        while len(suffix) < n - k:
+            suffix.append(_fold_step(suffix[-1], items[members[n - 1 - len(suffix)]]))
+        return suffix[n - 1 - k]
+
     def _fold(self, k: int, tail: list[int]) -> float:
         """Conflict of ``members[:k]`` followed by ``tail``, folded in that order."""
         return _tail_conflict(self.corpus, self._prefix(k) if k else None, tail)
@@ -253,16 +283,12 @@ class BlockState:
         cache = self.corpus._conflict_cache
         c = cache.get(self.key)
         if c is None:
-            k = len(self.members) - 1
-            c = cache[self.key] = self._fold(k, self.members[k:])
+            c = cache[self.key] = 1.0 - self._prefix(len(self.members))[1]
         return c
 
     def toggled(self, j: int) -> float:
         """``cluster_conflict`` of the block with report j added, or removed if
         it is a member; the block must keep at least one member."""
-        c = self.known.get(j)
-        if c is not None:
-            return c
         key = self.key ^ {self.corpus.reports[j].id}
         cache = self.corpus._conflict_cache
         c = cache.get(key)
@@ -271,20 +297,46 @@ class BlockState:
             k = bisect_left(members, j)
             tail = members[k + 1 :] if k < len(members) and members[k] == j else [j, *members[k:]]
             c = cache[key] = self._fold(k, tail)
+        return c
+
+    def moved(self, j: int) -> float:
+        """Conflict of the block with report j added, or removed if it is a
+        member, in at most one step; the block must keep at least one member."""
+        c = self.known.get(j)
+        if c is not None:
+            return c
+        members = self.members
+        n = len(members)
+        k = bisect_left(members, j)
+        if k == n or members[k] != j:
+            c = 1.0 - _fold_step(self._prefix(n), self.corpus._items[j], True)[1]
+        elif k == 0:
+            c = 1.0 - self._suffix(1)[1]
+        elif k == n - 1:
+            c = 1.0 - self._prefix(k)[1]
+        else:
+            masses, survival = self._suffix(k + 1)
+            if masses is None:
+                c = 1.0
+            else:
+                c = 1.0 - _fold_step(self._prefix(k), masses.items(), True)[1] * survival
         self.known[j] = c
         return c
 
     def toggle(self, j: int) -> None:
         """Add report j to the block, or remove it if it is a member."""
         members = self.members
+        n = len(members)
         k = bisect_left(members, j)
-        if k < len(members) and members[k] == j:
+        if k < n and members[k] == j:
             del members[k]
+            del self.suffix[n - k - 1 :]
         else:
             members.insert(k, j)
+            del self.suffix[n - k :]
         del self.chain[k:]
-        self.known.clear()
         self.key = self.key ^ {self.corpus.reports[j].id}
+        self.known = self.memo.setdefault(frozenset(members), {})
 
 
 def _fold_step(state: FoldState, items: tuple, last: bool = False) -> FoldState:
@@ -332,6 +384,7 @@ def _descend(
     prior: DomainPrior,
     blocks: list[list[str]],
     max_sweeps: int,
+    memo: dict | None = None,
 ) -> tuple[list[list[str]], float]:
     """Steepest-descent single-report moves until no move improves mcf.
 
@@ -339,10 +392,21 @@ def _descend(
     with a fresh block last, the first move with the lowest candidate mcf
     among those that improve on the current mcf by more than
     ``IMPROVEMENT_TOL``; it stops when there is none. Blocks come back in
-    block order, members in corpus order. Every block is a ``BlockState``, so
-    a move refolds only the two blocks it touches, from the changed position,
-    and the conflicts of block +/- j are the values ``cluster_conflict``
-    gives. ``oracle.reference_descent`` scores every move and is the check.
+    block order, members in corpus order. Every block is a ``BlockState``,
+    and a candidate's conflicts of block +/- j are ``BlockState.moved``
+    values: one step from the block's prefix and suffix chains, memoised in
+    ``memo`` (one dict shared by every restart of a search) per set of
+    members. The conflict list and mcf of the current blocks are canonical:
+    after each move the two blocks it touched are re-scored by their whole
+    prefix chains, and mcf from them, so the mcf returned is bit for bit the
+    one ``oracle.reference_descent`` gives for the same blocks. That oracle
+    scores every move with canonical conflicts and is the check. Moved values
+    differ from those by rounding (and by dust and mass shortfall, see
+    ``BlockState``), so where two candidates, or a candidate and the
+    threshold, are that close the descent may take the other branch: on
+    corpora with focal weights spread over 8 to 14 orders of magnitude, 14
+    of 8,000 descents parted from the reference, each at a sweep where the
+    two partitions' canonical mcf differed by at most 2.9e-13.
 
     Three rules skip candidates that cannot be taken, without changing the
     move sequence or any float:
@@ -353,24 +417,22 @@ def _descend(
        two or more other blocks are (every candidate keeps one of them).
     2. With exactly one saturated block besides the origin, only the move
        into that block is scored; every other candidate keeps it.
-    3. A conflict does not fall when a report joins a block, so every move
-       of j into an existing block scores at least ``bound``: the current
-       conflict list with only the origin replaced, at the block count all
-       those moves share. The float product is monotone in each factor, so
-       only the conflicts' own rounding can break the bound: on ladder and
-       random corpora ``c(t + j) >= c(t)`` failed for 32 of 16,657 (block,
-       report) pairs, by at most 2.2e-16. All of j's existing-block targets
-       are skipped when ``bound`` reaches the acceptance threshold
-       ``min(best, mcf - IMPROVEMENT_TOL)`` plus a slack of
-       ``IMPROVEMENT_TOL / 10``, 450 times that rounding. Masses spread over
-       many orders of magnitude can break the bound by more, through the
-       dust ``PRUNE_EPS`` drops (up to 3.9e-13 with focal weights down to
-       1e-8); the descent still matched the reference on 3,000 such corpora.
-       A wider slack would cost much: plateau candidates sit within 1e-9 of 1.
-       The fresh block changes the block count and is always scored.
+    3. A report joining block t scores ``c(t + j) >= c(t)``: the add is one
+       step from the state of t's whole prefix chain, whose ``1 - survival``
+       is t's entry in the conflict list, and that step multiplies the
+       survival by ``1 - c_step <= 1``, which rounding cannot raise. As the
+       float product is monotone in each factor too, every move of j into an
+       existing block scores at least ``bound``: the current conflict list
+       with only the origin replaced, at the block count all those moves
+       share. All of j's existing-block targets are skipped when ``bound``
+       reaches the acceptance threshold ``min(best, mcf - IMPROVEMENT_TOL)``
+       plus a slack of ``IMPROVEMENT_TOL / 10``, which covers the rounding
+       of ``mcf - IMPROVEMENT_TOL`` and of the test ``mcf - cand``. The fresh
+       block changes the block count and is always scored.
     """
     n = len(corpus.reports)
-    states = [BlockState(corpus, sorted(map(corpus.index_of, b))) for b in blocks]
+    memo = {} if memo is None else memo
+    states = [BlockState(corpus, sorted(map(corpus.index_of, b)), memo) for b in blocks]
     where = [0] * n  # report index -> block index
     for b, state in enumerate(states):
         for i in state.members:
@@ -391,7 +453,7 @@ def _descend(
             if len(others) >= 2:
                 continue
             if len(states[origin].members) > 1:
-                rest = states[origin].toggled(j)
+                rest = states[origin].moved(j)
                 if rest == 1.0:
                     continue
                 base = conflicts.copy()
@@ -413,7 +475,7 @@ def _descend(
             for t in targets:
                 pos = t - keep if t > origin else t
                 held = base[pos]
-                base[pos] = states[t].toggled(j)
+                base[pos] = states[t].moved(j)
                 cand = _mcf_value(weight, base)
                 base[pos] = held
                 if mcf - cand > IMPROVEMENT_TOL and cand < best_cand:
@@ -431,19 +493,19 @@ def _descend(
         origin = where[j]
         if target == -1:
             where[j] = len(states)
-            states.append(BlockState(corpus, [j]))
+            states.append(BlockState(corpus, [j], memo))
             conflicts.append(0.0)
         else:
             where[j] = target
-            conflicts[target] = states[target].toggled(j)
             states[target].toggle(j)
+            conflicts[target] = states[target].conflict()
         if len(states[origin].members) > 1:
-            conflicts[origin] = states[origin].toggled(j)
             states[origin].toggle(j)
+            conflicts[origin] = states[origin].conflict()
         else:
             del states[origin], conflicts[origin]
             where = [b - (b > origin) for b in where]
-        mcf = best_cand
+        mcf = _mcf_value(c0[len(states)], conflicts)
     ids = corpus.ids
     return [[ids[i] for i in state.members] for state in states], mcf
 
@@ -465,14 +527,19 @@ def partition_search(
 
     Deterministic given (corpus order, seed, restarts): restart i draws its
     start from its own ``random.Random(f"{seed}:{i}")``, and restarts are
-    merged by (mcf, canonical key).
+    merged by (mcf, canonical key). The restarts share one memo of one-step
+    move values (``BlockState.moved``), which lives for this call only; a
+    value depends on the block and the report alone, so no restart's result
+    depends on the others. Each restart's mcf is the canonical one of its
+    final blocks, so the merge compares ``cluster_conflict`` values.
     """
     if config.restarts < 1:
         raise ValidationError("restarts must be >= 1")
+    memo: dict[frozenset[int], dict[int, float]] = {}  # BlockState.moved values, for this call only
     runs = []
     for i in range(config.restarts):
         rng = random.Random(f"{config.seed}:{i}")
-        blocks, mcf = _descend(corpus, prior, _random_start(corpus, prior, rng), config.max_sweeps)
+        blocks, mcf = _descend(corpus, prior, _random_start(corpus, prior, rng), config.max_sweeps, memo)
         runs.append((mcf, _canonical_key(corpus, blocks), blocks))
     _, _, best_blocks = min(runs, key=lambda r: r[:2])
     partition = make_partition(corpus, best_blocks)

@@ -179,14 +179,16 @@ def random_mass(frame: Frame, rng: random.Random, max_focals: int = 3) -> MassFu
     return make_mass(frame, entries)
 
 
-def random_spread_mass(frame: Frame, rng: random.Random, max_focals: int = 4) -> MassFunction:
-    """Random focal sets with weights spread over 14 orders of magnitude, so
-    that steps near total conflict and dust below ``PRUNE_EPS`` occur; the
-    masses sum to 1 within 5e-10, as ``make_mass`` allows."""
+def random_spread_mass(
+    frame: Frame, rng: random.Random, max_focals: int = 4, orders: float = 14.0
+) -> MassFunction:
+    """Random focal sets with weights spread over ``orders`` orders of
+    magnitude, so that steps near total conflict and dust below ``PRUNE_EPS``
+    occur; the masses sum to 1 within 5e-10, as ``make_mass`` allows."""
     masses: dict[int, float] = {}
     for _ in range(rng.randint(1, max_focals)):
         bits = rng.randint(1, frame.full_bits)
-        masses[bits] = masses.get(bits, 0.0) + 10.0 ** -rng.uniform(0.0, 14.0)
+        masses[bits] = masses.get(bits, 0.0) + 10.0 ** -rng.uniform(0.0, orders)
     total = math.fsum(masses.values()) / (1.0 + rng.uniform(-5e-10, 5e-10))
     return MassFunction(frame, {bits: v / total for bits, v in masses.items()})
 
@@ -577,15 +579,24 @@ def descents_agree(
     corpus: EvidenceCorpus, prior: DomainPrior, start: list[list[str]], max_sweeps: int
 ) -> bool:
     """``cluster._descend`` and ``reference_descent`` from the same start: the
-    same blocks in the same order, a bit-equal mcf, and every conflict the
+    same blocks in the same order, a bit-equal mcf, every conflict the
     descent cached bit-equal to ``reference_conflict``, which folds
-    ``reference_combine`` and so shares no step with the descent."""
-    blocks, mcf = _descend(corpus, prior, [list(b) for b in start], max_sweeps)
+    ``reference_combine`` and so shares no step with the descent, and every
+    one-step value in the descent's memo within ``IMPROVEMENT_TOL / 10`` of it."""
+    memo: dict[frozenset[int], dict[int, float]] = {}
+    blocks, mcf = _descend(corpus, prior, [list(b) for b in start], max_sweeps, memo)
     ref_blocks, ref_mcf = reference_descent(corpus, prior, [list(b) for b in start], max_sweeps)
+    conflict_of = reference_conflicts(corpus)
+    ids = corpus.ids
     return (
         blocks == [sorted(b, key=corpus.index_of) for b in ref_blocks]
         and mcf == ref_mcf
         and all(reference_conflict(corpus, key) == c for key, c in corpus._conflict_cache.items())
+        and all(
+            abs(conflict_of(ids[i] for i in members ^ {j}) - c) <= IMPROVEMENT_TOL / 10
+            for members, values in memo.items()
+            for j, c in values.items()
+        )
     )
 
 

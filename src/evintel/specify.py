@@ -105,7 +105,9 @@ def specify_corpus(partition: Partition, prior: DomainPrior) -> MembershipSpecif
     """Membership plausibilities and per-report weights for every report and block.
 
     Each block's state is built once, so a +/- j conflict the corpus cache
-    does not hold is folded from the block's prefix chain, as in the search.
+    does not hold is refolded from the block's prefix chain at j's position
+    (``BlockState.toggled``): every value is ``cluster_conflict``'s, bit for
+    bit, not the search's one-step estimate.
     """
     plausibility: dict[str, dict[BlockKey, float]] = {}
     weights: dict[str, dict[int, float]] = {}

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
 from evintel.cluster import (
+    IMPROVEMENT_TOL,
     BlockState,
     DomainPrior,
     EvidenceCorpus,
@@ -18,14 +20,16 @@ from evintel.cluster import (
     partition_search,
 )
 from evintel.cluster import _descend, _random_start  # noqa: PLC2701 - descent properties
-from evintel.ds import Frame, TotalConflictError, ValidationError, make_mass, vacuous
+from evintel.ds import Frame, MassFunction, TotalConflictError, ValidationError, make_mass, vacuous
 from evintel.oracle import (
     descents_agree,
     enumerate_search,
     mixed_corpus,
     random_prior,
+    random_spread_mass,
     reference_combine,
     reference_conflict,
+    reference_descent,
     separable_corpus,
 )
 from evintel.pipeline import parse_document
@@ -36,6 +40,19 @@ AB = Frame(("A", "B"))
 
 def simple(frame, element, w):
     return make_mass(frame, [((element,), w), (frame.elements, 1.0 - w)])
+
+
+def spread_corpus(rng, n, orders=8.0):
+    """Reports on a frame of 4 with focal weights spread over ``orders`` orders
+    of magnitude, rescaled to sum to 1 (``random_spread_mass`` leaves them up
+    to 5e-10 off)."""
+    frame = Frame(("A", "B", "C", "D"))
+    reports = []
+    for i in range(n):
+        masses = random_spread_mass(frame, rng, orders=orders).masses
+        total = math.fsum(masses.values())
+        reports.append(Report(f"e{i:02d}", MassFunction(frame, {b: v / total for b, v in masses.items()})))
+    return EvidenceCorpus(frame, tuple(reports))
 
 
 def corpus_of(frame, *pairs):
@@ -432,5 +449,103 @@ class TestIncrementalDescent:
                 assert c3 < 1 - 1e-12 and 1.0 - (1.0 - c12) * (1.0 - c3) == 1.0
             assert state(0, 1).toggled(3) == 1.0
             assert state(0, 1, 2, 3).toggled(2) == 1.0
+            assert state(0, 1).moved(3) == 1.0  # the whole prefix chain's state plus e3
+            assert state(0, 1, 2, 3).moved(2) == 1.0  # prefix (e1, e2) plus suffix (e3)
             assert state(0, 1, 3).conflict() == 1.0
             assert reference_conflict(state(0).corpus, ["e1", "e2", "e3"]) == 1.0
+
+    def test_moved_is_within_tolerance_of_the_reference(self):
+        # block +/- j by one step from the prefix and suffix chains, against the
+        # canonical fold of oracle.reference_combine, on blocks with total
+        # conflicts and exact ties; removals of first, middle and last members
+        rng = random.Random(103)
+        worst, totals, middles = 0.0, 0, 0
+        for _ in range(150):
+            n = rng.randint(2, 9)
+            corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=0.25, vacuous_share=0.1)
+            ids = corpus.ids
+            members = sorted(rng.sample(range(n), rng.randint(1, n)))
+            state = BlockState(corpus, list(members))
+            for j in range(n):
+                toggled = set(members) ^ {j}
+                if toggled:
+                    c = state.moved(j)
+                    worst = max(worst, abs(c - reference_conflict(corpus, [ids[i] for i in toggled])))
+                    totals += c == 1.0
+                    middles += j in members[1:-1]
+        assert worst <= IMPROVEMENT_TOL / 10
+        assert totals > 0 and middles > 0
+
+    def test_moved_after_toggles_matches_a_fresh_state(self):
+        # both chains are grown in full, then cut by a toggle and regrown on
+        # demand; every value must be the one a state built from scratch gives
+        rng = random.Random(107)
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=0.2, vacuous_share=0.1)
+            memo: dict = {}
+            state = BlockState(corpus, sorted(rng.sample(range(n), rng.randint(1, n))), memo)
+            for _ in range(12):
+                fresh = BlockState(corpus, list(state.members))
+                for j in range(n):
+                    if state.members != [j]:
+                        assert state.moved(j) == fresh.moved(j)
+                assert state.conflict() == fresh.conflict()
+                j = rng.randrange(n)
+                if state.members != [j]:
+                    memo.clear()  # so no value is read back from before the toggle
+                    state.toggle(j)
+
+    def test_joining_never_lowers_the_moved_conflict(self):
+        # rule 3 of _descend on masses spread over 8 orders of magnitude, where
+        # the canonical refold drops different dust and can fall: an add is one
+        # step from the state whose 1 - survival is the block's conflict
+        rng = random.Random(109)
+        pairs, falls = 0, 0
+        for _ in range(300):
+            corpus = spread_corpus(rng, rng.randint(3, 10))
+            n = len(corpus.reports)
+            members = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+            state = BlockState(corpus, members)
+            c = state.conflict()
+            for j in set(range(n)) - set(members):
+                assert state.moved(j) >= c
+                falls += state.toggled(j) < c
+                pairs += 1
+        assert pairs > 500 and falls > 0  # the data reaches the dust
+
+    @pytest.mark.parametrize("orders", [8.0, 14.0])
+    def test_spread_masses_part_from_the_reference_only_at_near_ties(self, orders):
+        # moved values differ from the canonical ones by the dust each fold
+        # order drops (up to about 2e-12 here), so where two moves, or a move
+        # and a stop, are that close the descent may take the other one; at the
+        # first sweep where it parts from the reference, the two partitions'
+        # canonical mcf must be that close
+        rng = random.Random(113)
+        for t in range(150):
+            corpus = spread_corpus(rng, rng.randint(2, 10), orders)
+            prior = random_prior(rng, rng.randint(1, len(corpus.reports) + 1), zero_share=0.3)
+            start = _random_start(corpus, prior, random.Random(t))
+
+            def both(sweeps):
+                blocks, mcf = _descend(corpus, prior, [list(b) for b in start], sweeps)
+                ref_blocks, ref_mcf = reference_descent(corpus, prior, [list(b) for b in start], sweeps)
+                return blocks == [sorted(b, key=corpus.index_of) for b in ref_blocks], mcf, ref_mcf
+
+            same, mcf, ref_mcf = both(200)
+            sweeps = 1
+            while not same and (step := both(sweeps))[0]:
+                assert step[1] == step[2]
+                sweeps += 1
+            if same:
+                assert mcf == ref_mcf
+            else:
+                assert abs(step[1] - step[2]) <= 4 * IMPROVEMENT_TOL
+
+    def test_search_caches_only_canonical_conflicts(self):
+        doc = generate_scenario_doc(ScenarioConfig(seed=3, targets=4, reports_per_target=6, frame_size=6))
+        corpus, prior = parse_document(doc)
+        partition_search(corpus, prior, SearchConfig(restarts=20, seed=0))
+        assert corpus._conflict_cache
+        for key, c in corpus._conflict_cache.items():
+            assert c == reference_conflict(corpus, key)
