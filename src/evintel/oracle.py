@@ -44,6 +44,7 @@ from .decide import (
 )
 from .ds import (
     PRUNE_EPS,
+    FocalSet,
     Frame,
     MassFunction,
     TotalConflictError,
@@ -184,13 +185,14 @@ def random_spread_mass(
 ) -> MassFunction:
     """Random focal sets with weights spread over ``orders`` orders of
     magnitude, so that steps near total conflict and dust below ``PRUNE_EPS``
-    occur; the masses sum to 1 within 5e-10, as ``make_mass`` allows."""
+    occur. The weights given to ``make_mass`` sum to 1 only within 5e-10, as
+    hand-typed input may, and it rescales them."""
     masses: dict[int, float] = {}
     for _ in range(rng.randint(1, max_focals)):
         bits = rng.randint(1, frame.full_bits)
         masses[bits] = masses.get(bits, 0.0) + 10.0 ** -rng.uniform(0.0, orders)
     total = math.fsum(masses.values()) / (1.0 + rng.uniform(-5e-10, 5e-10))
-    return MassFunction(frame, {bits: v / total for bits, v in masses.items()})
+    return make_mass(frame, [(FocalSet(frame, bits), v / total) for bits, v in masses.items()])
 
 
 def random_simple_support(frame: Frame, rng: random.Random) -> MassFunction:
@@ -600,6 +602,48 @@ def descents_agree(
     )
 
 
+def descents_part_only_at_near_ties(
+    corpus: EvidenceCorpus, prior: DomainPrior, start: list[list[str]], max_sweeps: int
+) -> bool:
+    """``descents_agree`` where moved values carry dust, as on masses spread
+    over many orders of magnitude: every conflict the descent cached is
+    bit-equal to ``reference_conflict``; every one-step value in its memo is
+    within ``8 * PRUNE_EPS`` of it (the dust each fold order drops: at most
+    1.7e-12 over 3,000 spread-mass descents); and the two descents return the
+    same blocks and a bit-equal mcf or, at the first sweep where their blocks
+    part, partitions whose canonical mcf are within ``4 * IMPROVEMENT_TOL``
+    (two moves, or a move and a stop, that close)."""
+    memo: dict[frozenset[int], dict[int, float]] = {}
+
+    def both(sweeps: int) -> tuple[bool, float, float]:
+        blocks, mcf = _descend(corpus, prior, [list(b) for b in start], sweeps, memo)
+        ref_blocks, ref_mcf = reference_descent(corpus, prior, [list(b) for b in start], sweeps)
+        return blocks == [sorted(b, key=corpus.index_of) for b in ref_blocks], mcf, ref_mcf
+
+    same, mcf, ref_mcf = both(max_sweeps)
+    if same:
+        near = mcf == ref_mcf
+    else:
+        for sweeps in range(1, max_sweeps + 1):
+            same, mcf, ref_mcf = both(sweeps)
+            if not same:
+                break
+            if mcf != ref_mcf:
+                return False
+        near = abs(mcf - ref_mcf) <= 4 * IMPROVEMENT_TOL
+    conflict_of = reference_conflicts(corpus)
+    ids = corpus.ids
+    return (
+        near
+        and all(reference_conflict(corpus, key) == c for key, c in corpus._conflict_cache.items())
+        and all(
+            abs(conflict_of(ids[i] for i in members ^ {j}) - c) <= 8 * PRUNE_EPS
+            for members, values in memo.items()
+            for j, c in values.items()
+        )
+    )
+
+
 def check_partition_descent(seed: int, trials: int) -> CheckResult:
     """``descents_agree`` on mixed, separable and all-categorical corpora with
     random priors, some runs cut after one or two sweeps."""
@@ -617,6 +661,23 @@ def check_partition_descent(seed: int, trials: int) -> CheckResult:
         start = _random_start(corpus, prior, rng)
         mismatches += not descents_agree(corpus, prior, start, rng.choice((1, 2, 200)))
     return CheckResult("partition descent vs reference descent", mismatches == 0, float(mismatches))
+
+
+def check_partition_descent_spread(seed: int, trials: int) -> CheckResult:
+    """``descents_part_only_at_near_ties`` on corpora of ``random_spread_mass``
+    reports, spread over 8 or 14 orders of magnitude, with random priors."""
+    rng = random.Random(seed)
+    frame = Frame(("A", "B", "C", "D"))
+    mismatches = 0
+    for t in range(trials):
+        orders = 8.0 if t % 2 else 14.0
+        n = rng.randint(2, 10)
+        reports = tuple(Report(f"e{i:02d}", random_spread_mass(frame, rng, orders=orders)) for i in range(n))
+        corpus = EvidenceCorpus(frame, reports)
+        prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.3)
+        start = _random_start(corpus, prior, rng)
+        mismatches += not descents_part_only_at_near_ties(corpus, prior, start, rng.choice((1, 2, 200)))
+    return CheckResult("partition descent vs reference, spread masses", mismatches == 0, float(mismatches))
 
 
 def check_game_solver(seed: int, trials: int) -> CheckResult:
@@ -640,4 +701,5 @@ def run_all_checks(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         check_partition_descent(seed + 9, trials),
         check_dempster_step(seed + 10, trials),
         check_game_solver(seed + 11, trials),
+        check_partition_descent_spread(seed + 12, trials),
     ]

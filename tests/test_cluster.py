@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -20,16 +19,16 @@ from evintel.cluster import (
     partition_search,
 )
 from evintel.cluster import _descend, _random_start  # noqa: PLC2701 - descent properties
-from evintel.ds import Frame, MassFunction, TotalConflictError, ValidationError, make_mass, vacuous
+from evintel.ds import Frame, TotalConflictError, ValidationError, make_mass, vacuous
 from evintel.oracle import (
     descents_agree,
+    descents_part_only_at_near_ties,
     enumerate_search,
     mixed_corpus,
     random_prior,
     random_spread_mass,
     reference_combine,
     reference_conflict,
-    reference_descent,
     separable_corpus,
 )
 from evintel.pipeline import parse_document
@@ -44,14 +43,9 @@ def simple(frame, element, w):
 
 def spread_corpus(rng, n, orders=8.0):
     """Reports on a frame of 4 with focal weights spread over ``orders`` orders
-    of magnitude, rescaled to sum to 1 (``random_spread_mass`` leaves them up
-    to 5e-10 off)."""
+    of magnitude, given to ``make_mass`` up to 5e-10 off a sum of 1."""
     frame = Frame(("A", "B", "C", "D"))
-    reports = []
-    for i in range(n):
-        masses = random_spread_mass(frame, rng, orders=orders).masses
-        total = math.fsum(masses.values())
-        reports.append(Report(f"e{i:02d}", MassFunction(frame, {b: v / total for b, v in masses.items()})))
+    reports = (Report(f"e{i:02d}", random_spread_mass(frame, rng, orders=orders)) for i in range(n))
     return EvidenceCorpus(frame, tuple(reports))
 
 
@@ -231,7 +225,7 @@ class TestPartitionSearch:
             start_rng = random.Random(trial)
             start = _random_start(corpus, prior, start_rng)
             start_mcf = metaconflict(make_partition(corpus, start), prior).mcf
-            _, end_mcf = _descend(corpus, prior, [list(b) for b in start], max_sweeps=200)
+            _, end_mcf = _descend(corpus, prior, [list(b) for b in start], max_sweeps=200, memo={})
             assert end_mcf <= start_mcf + 1e-12
 
     def test_blocks_never_exceed_prior_support(self):
@@ -437,7 +431,7 @@ class TestIncrementalDescent:
 
             def state(*members):  # on a corpus of its own, so no value comes from a cache
                 corpus = corpus_of(frame, ("e1", e1), ("e2", e2), ("v", vacuous(frame)), ("e3", e3))
-                return BlockState(corpus, list(members))
+                return BlockState(corpus, list(members), {})
 
             pair, c12 = reference_combine(e1, e2)
             try:
@@ -465,7 +459,7 @@ class TestIncrementalDescent:
             corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=0.25, vacuous_share=0.1)
             ids = corpus.ids
             members = sorted(rng.sample(range(n), rng.randint(1, n)))
-            state = BlockState(corpus, list(members))
+            state = BlockState(corpus, list(members), {})
             for j in range(n):
                 toggled = set(members) ^ {j}
                 if toggled:
@@ -486,7 +480,7 @@ class TestIncrementalDescent:
             memo: dict = {}
             state = BlockState(corpus, sorted(rng.sample(range(n), rng.randint(1, n))), memo)
             for _ in range(12):
-                fresh = BlockState(corpus, list(state.members))
+                fresh = BlockState(corpus, list(state.members), {})
                 for j in range(n):
                     if state.members != [j]:
                         assert state.moved(j) == fresh.moved(j)
@@ -506,7 +500,7 @@ class TestIncrementalDescent:
             corpus = spread_corpus(rng, rng.randint(3, 10))
             n = len(corpus.reports)
             members = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
-            state = BlockState(corpus, members)
+            state = BlockState(corpus, members, {})
             c = state.conflict()
             for j in set(range(n)) - set(members):
                 assert state.moved(j) >= c
@@ -518,29 +512,13 @@ class TestIncrementalDescent:
     def test_spread_masses_part_from_the_reference_only_at_near_ties(self, orders):
         # moved values differ from the canonical ones by the dust each fold
         # order drops (up to about 2e-12 here), so where two moves, or a move
-        # and a stop, are that close the descent may take the other one; at the
-        # first sweep where it parts from the reference, the two partitions'
-        # canonical mcf must be that close
+        # and a stop, are that close the descent may take the other one
         rng = random.Random(113)
         for t in range(150):
             corpus = spread_corpus(rng, rng.randint(2, 10), orders)
             prior = random_prior(rng, rng.randint(1, len(corpus.reports) + 1), zero_share=0.3)
             start = _random_start(corpus, prior, random.Random(t))
-
-            def both(sweeps):
-                blocks, mcf = _descend(corpus, prior, [list(b) for b in start], sweeps)
-                ref_blocks, ref_mcf = reference_descent(corpus, prior, [list(b) for b in start], sweeps)
-                return blocks == [sorted(b, key=corpus.index_of) for b in ref_blocks], mcf, ref_mcf
-
-            same, mcf, ref_mcf = both(200)
-            sweeps = 1
-            while not same and (step := both(sweeps))[0]:
-                assert step[1] == step[2]
-                sweeps += 1
-            if same:
-                assert mcf == ref_mcf
-            else:
-                assert abs(step[1] - step[2]) <= 4 * IMPROVEMENT_TOL
+            assert descents_part_only_at_near_ties(corpus, prior, start, 200)
 
     def test_search_caches_only_canonical_conflicts(self):
         doc = generate_scenario_doc(ScenarioConfig(seed=3, targets=4, reports_per_target=6, frame_size=6))

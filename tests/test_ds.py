@@ -9,6 +9,7 @@ from evintel.ds import (
     PRUNE_EPS,
     FocalSet,
     Frame,
+    MassFunction,
     TotalConflictError,
     ValidationError,
     combine_all,
@@ -63,6 +64,18 @@ class TestMakeMass:
     def test_sum_violation(self):
         with pytest.raises(ValidationError, match="sum to 0.99"):
             m_of(AB, (("A",), 0.99))
+
+    def test_near_sums_are_rescaled(self):
+        third = 0.3333333333
+        m = m_of(ABC, (("A",), third), (("B",), third), (("C",), third))
+        assert abs(math.fsum(m.masses.values()) - 1.0) <= 2e-16
+        assert m.mass(("A",)) == third / math.fsum([third] * 3)
+
+    def test_decimal_sums_are_kept(self):
+        # 0.01 + 0.29 + 0.7 is one ulp short of 1 in floats: rounding, not a miss
+        m = m_of(ABC, (("A",), 0.01), (("B",), 0.29), (("C",), 0.7))
+        assert math.fsum(m.masses.values()) != 1.0
+        assert (m.mass(("A",)), m.mass(("B",)), m.mass(("C",))) == (0.01, 0.29, 0.7)
 
     def test_empty_focal(self):
         with pytest.raises(ValidationError, match="empty focal"):
@@ -159,8 +172,10 @@ class TestDempsterKernel:
 
     @pytest.mark.parametrize("excess", [9e-10, -9e-10])
     def test_inputs_off_one_by_mass_tol(self, excess):
-        m1 = m_of(ABC, (("A",), 0.3), (("B",), 0.2), (("A", "B", "C"), 0.5 + excess))
-        m2 = m_of(ABC, (("B", "C"), 0.45), (("A", "B", "C"), 0.55 - excess))
+        # built directly: make_mass would rescale them to sum to 1
+        bits = ABC.bits_of
+        m1 = MassFunction(ABC, {bits(("A",)): 0.3, bits(("B",)): 0.2, ABC.full_bits: 0.5 + excess})
+        m2 = MassFunction(ABC, {bits(("B", "C")): 0.45, ABC.full_bits: 0.55 - excess})
         assert kernel_agrees(m1, m2)
         assert kernel_agrees(m2, m1)
 
@@ -180,9 +195,10 @@ class TestDempsterKernel:
             _dempster_conflict(m3.masses, tuple(m4.masses.items()))
 
     def test_every_survivor_below_prune_eps_raises(self):
-        # inputs sum to 1 - 5e-10: the conflict stops short of the limit, but the
-        # one surviving product, 1e-25, scales to about 2e-16
-        m1 = m_of(AB, (("A",), 1 - 5e-10), (("A", "B"), 1e-25))
+        # masses summing to 1 - 5e-10, built directly (make_mass would rescale
+        # them): the conflict stops short of the limit, but the one surviving
+        # product, 1e-25, scales to about 2e-16
+        m1 = MassFunction(AB, {AB.bits_of(("A",)): 1 - 5e-10, AB.full_bits: 1e-25})
         m2 = m_of(AB, (("B",), 1.0))
         items = tuple(m2.masses.items())
         with pytest.raises(TotalConflictError) as exc:
@@ -196,8 +212,9 @@ class TestDempsterKernel:
 
     def test_small_products_that_sum_past_prune_eps_survive(self):
         # each product on B scales below PRUNE_EPS, their sum does not: the
-        # conflict-only step falls back to the full one, which does not raise
-        m1 = m_of(ABC, (("A",), 1 - 5e-10), (("A", "B"), 8e-22))
+        # conflict-only step falls back to the full one, which does not raise;
+        # the masses sum to 1 - 5e-10, so they are built directly
+        m1 = MassFunction(ABC, {ABC.bits_of(("A",)): 1 - 5e-10, ABC.bits_of(("A", "B")): 8e-22})
         m2 = m_of(ABC, (("B",), 0.5), (("B", "C"), 0.5))
         combined, conflict = reference_combine(m1, m2)
         assert list(combined.masses) == [ABC.bits_of("B")]
