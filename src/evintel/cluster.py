@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .ds import (
@@ -30,6 +30,7 @@ from .ds import (
 IMPROVEMENT_TOL = 1e-12
 
 FoldState = tuple[dict[int, float] | None, float]  # see _fold_step
+BlockValues = tuple[float, dict[int, float]]  # a member set's conflict and moved values, see BlockState
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class Report:
 class EvidenceCorpus:
     frame: Frame
     reports: tuple[Report, ...]
-    _conflict_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.reports:
@@ -165,14 +165,8 @@ def make_partition(corpus: EvidenceCorpus, blocks: Iterable[Iterable[str]]) -> P
 
 def cluster_conflict(corpus: EvidenceCorpus, block: Iterable[str]) -> float:
     """Accumulated Dempster conflict of the block's evidence; 0 for <= 1 report."""
-    ids = frozenset(block)
-    cached = corpus._conflict_cache.get(ids)
-    if cached is not None:
-        return cached
-    indices = sorted(map(corpus.index_of, ids))
-    conflict = _tail_conflict(corpus, None, indices) if indices else 0.0
-    corpus._conflict_cache[ids] = conflict
-    return conflict
+    indices = sorted(map(corpus.index_of, set(block)))
+    return _tail_conflict(corpus, None, indices) if indices else 0.0
 
 
 def domain_conflict(n: int, prior: DomainPrior) -> float:
@@ -186,10 +180,14 @@ def _mcf_value(c0: float, cluster_conflicts: Sequence[float]) -> float:
     return 1.0 - (1.0 - c0) * math.prod([1.0 - c for c in cluster_conflicts])
 
 
-def metaconflict(partition: Partition, prior: DomainPrior) -> MetaConflictReport:
-    c0 = domain_conflict(partition.n_blocks, prior)
-    conflicts = tuple(cluster_conflict(partition.corpus, b) for b in partition.blocks)
+def _report(prior: DomainPrior, conflicts: tuple[float, ...]) -> MetaConflictReport:
+    """The report of a partition whose blocks have these conflicts, in order."""
+    c0 = domain_conflict(len(conflicts), prior)
     return MetaConflictReport(c0, conflicts, _mcf_value(c0, conflicts))
+
+
+def metaconflict(partition: Partition, prior: DomainPrior) -> MetaConflictReport:
+    return _report(prior, tuple(cluster_conflict(partition.corpus, b) for b in partition.blocks))
 
 
 def _canonical_key(corpus: EvidenceCorpus, blocks: Sequence[Iterable[str]]) -> tuple:
@@ -215,16 +213,18 @@ class BlockState:
     are cut back where a member is inserted or removed, so a state never holds
     more dicts than twice the block's members.
 
-    ``conflict()`` is ``1 - survival`` of the whole prefix chain, which is
-    ``cluster_conflict`` bit for bit; it shares the corpus conflict cache.
-    The conflict of the block with report j
-    added, or removed if j is a member, has two routes:
+    ``store`` maps each set of members a state has had to its ``BlockValues``:
+    the canonical conflict, ``1 - survival`` of the whole prefix chain and so
+    ``cluster_conflict`` bit for bit, and the ``moved`` values found so far.
+    A state looks its members up when built and after each toggle, and
+    ``conflict()`` reads the entry. States given one store share its values;
+    a state given none keeps a store of its own. The conflict of the block
+    with report j added, or removed if j is a member, has two routes:
 
     - ``toggled(j)`` starts from the prefix before j's position and folds j
       (if added) and then the tail, the last step conflict-only. That is the
-      fold ``cluster_conflict`` does, so the value is bit-identical; it is
-      shared through the corpus conflict cache, which ``cluster_conflict``
-      reads too. ``specify`` prints these values.
+      fold ``cluster_conflict`` does, so the value is bit-identical. It is
+      not stored. ``specify`` prints these values.
     - ``moved(j)`` takes at most one ``_fold_step``, since Dempster
       normalizers compose: an add is the whole prefix chain's state combined
       with j, conflict-only; a removal is the prefix before j combined with
@@ -233,21 +233,30 @@ class BlockState:
       ``toggled(j)`` up to rounding and the ``PRUNE_EPS`` dust each fold
       order drops, for masses that sum to 1 within rounding, as ``make_mass``
       makes them. It depends only on the block's members and j, and is kept
-      in ``memo[members]``, so states with the same members share it; only
-      a state given a memo can answer ``moved``. The descent scores its
-      moves this way.
+      in the store's entry for the members. The descent scores its moves
+      this way.
     """
 
-    __slots__ = ("corpus", "members", "key", "chain", "suffix", "memo", "known")
+    __slots__ = ("corpus", "members", "chain", "suffix", "store", "values")
 
-    def __init__(self, corpus: EvidenceCorpus, members: list[int], memo: dict | None = None):
+    def __init__(
+        self, corpus: EvidenceCorpus, members: list[int], store: dict[frozenset[int], BlockValues] | None = None
+    ):
         self.corpus = corpus
         self.members = members
-        self.key = frozenset(corpus.reports[i].id for i in members)
         self.chain: list[FoldState] = []
         self.suffix: list[FoldState] = []
-        self.memo: dict[frozenset[int], dict[int, float]] | None = memo
-        self.known: dict[int, float] | None = None  # memo's dict for the current members, once asked
+        self.store = {} if store is None else store
+        self._look_up()
+
+    def _look_up(self) -> None:
+        """Point ``values`` at the store's entry for the members, folding the
+        canonical conflict if the store has none."""
+        key = frozenset(self.members)
+        values = self.store.get(key)
+        if values is None:
+            values = self.store[key] = (1.0 - self._prefix(len(self.members))[1], {})
+        self.values = values
 
     def _prefix(self, k: int) -> FoldState:
         """State after folding ``members[:k]``, k >= 1."""
@@ -273,37 +282,22 @@ class BlockState:
             suffix.append(_fold_step(suffix[-1], items[members[n - 1 - len(suffix)]]))
         return suffix[n - 1 - k]
 
-    def _fold(self, k: int, tail: list[int]) -> float:
-        """Conflict of ``members[:k]`` followed by ``tail``, folded in that order."""
-        return _tail_conflict(self.corpus, self._prefix(k) if k else None, tail)
-
     def conflict(self) -> float:
         """``cluster_conflict`` of the block."""
-        cache = self.corpus._conflict_cache
-        c = cache.get(self.key)
-        if c is None:
-            c = cache[self.key] = 1.0 - self._prefix(len(self.members))[1]
-        return c
+        return self.values[0]
 
     def toggled(self, j: int) -> float:
         """``cluster_conflict`` of the block with report j added, or removed if
         it is a member; the block must keep at least one member."""
-        key = self.key ^ {self.corpus.reports[j].id}
-        cache = self.corpus._conflict_cache
-        c = cache.get(key)
-        if c is None:
-            members = self.members
-            k = bisect_left(members, j)
-            tail = members[k + 1 :] if k < len(members) and members[k] == j else [j, *members[k:]]
-            c = cache[key] = self._fold(k, tail)
-        return c
+        members = self.members
+        k = bisect_left(members, j)
+        tail = members[k + 1 :] if k < len(members) and members[k] == j else [j, *members[k:]]
+        return _tail_conflict(self.corpus, self._prefix(k) if k else None, tail)
 
     def moved(self, j: int) -> float:
         """Conflict of the block with report j added, or removed if it is a
         member, in at most one step; the block must keep at least one member."""
-        known = self.known
-        if known is None:
-            known = self.known = self.memo.setdefault(frozenset(self.members), {})  # type: ignore[union-attr]
+        known = self.values[1]
         c = known.get(j)
         if c is not None:
             return c
@@ -337,8 +331,7 @@ class BlockState:
             members.insert(k, j)
             del self.suffix[n - k :]
         del self.chain[k:]
-        self.key = self.key ^ {self.corpus.reports[j].id}
-        self.known = None
+        self._look_up()
 
 
 def _fold_step(state: FoldState, items: tuple, last: bool = False) -> FoldState:
@@ -386,7 +379,7 @@ def _descend(
     prior: DomainPrior,
     blocks: list[list[str]],
     max_sweeps: int,
-    memo: dict[frozenset[int], dict[int, float]],
+    store: dict[frozenset[int], BlockValues],
 ) -> tuple[list[list[str]], float]:
     """Steepest-descent single-report moves until no move improves mcf.
 
@@ -394,46 +387,39 @@ def _descend(
     with a fresh block last, the first move with the lowest candidate mcf
     among those that improve on the current mcf by more than
     ``IMPROVEMENT_TOL``; it stops when there is none. Blocks come back in
-    block order, members in corpus order. Every block is a ``BlockState``,
-    and a candidate's conflicts of block +/- j are ``BlockState.moved``
-    values: one step from the block's prefix and suffix chains, memoised in
-    ``memo`` per set of members (``partition_search`` passes one dict to all
-    its restarts). The conflict list and mcf of the current blocks are
-    canonical: after each move the two blocks it touched are re-scored by
-    their whole prefix chains, and mcf from them, so the mcf returned is bit
-    for bit the one ``oracle.reference_descent`` gives for the same blocks.
-    That oracle scores every move with canonical conflicts and is the check.
-    Moved values differ from those by rounding and dust (see ``BlockState``),
-    so where two candidates, or a candidate and the threshold, are that
-    close the descent may take the other branch: on corpora with focal
-    weights spread over 8 to 14 orders of magnitude, 14 of 8,000 descents
-    parted from the reference, each at a sweep where the two partitions'
-    canonical mcf differed by at most 2.9e-13.
+    block order, members in corpus order. Every block is a ``BlockState`` on
+    ``store`` (``partition_search`` passes one dict to all its restarts), and
+    a candidate's conflicts of block +/- j are ``BlockState.moved`` values:
+    one step from the block's prefix and suffix chains. The conflict list and
+    mcf of the current blocks are canonical: after each move the two blocks
+    it touched are re-scored by their whole prefix chains, and mcf from them,
+    so the mcf returned is bit for bit the one ``oracle.reference_descent``
+    gives for the same blocks. That oracle scores every move with canonical
+    conflicts and is the check. Moved values differ from those by rounding
+    and dust (see ``BlockState``), so where two candidates, or a candidate
+    and the threshold, are that close the descent may take the other branch:
+    on corpora with focal weights spread over 8 to 14 orders of magnitude,
+    14 of 8,000 descents parted from the reference, each at a sweep where the
+    two partitions' canonical mcf differed by at most 2.9e-13.
 
-    Three rules skip candidates that cannot be taken, without changing the
-    move sequence or any float:
-
-    1. A candidate whose conflict list holds an exact 1.0 has product 0 and
-       mcf exactly 1.0, which improves on nothing. So report j is skipped when
-       its origin's remainder is saturated (every candidate keeps it) or when
-       two or more other blocks are (every candidate keeps one of them).
-    2. With exactly one saturated block besides the origin, only the move
-       into that block is scored; every other candidate keeps it.
-    3. A report joining block t scores ``c(t + j) >= c(t)``: the add is one
-       step from the state of t's whole prefix chain, whose ``1 - survival``
-       is t's entry in the conflict list, and that step multiplies the
-       survival by ``1 - c_step <= 1``, which rounding cannot raise. As the
-       float product is monotone in each factor too, every move of j into an
-       existing block scores at least ``bound``: the current conflict list
-       with only the origin replaced, at the block count all those moves
-       share. All of j's existing-block targets are skipped when ``bound``
-       reaches the acceptance threshold ``min(best, mcf - IMPROVEMENT_TOL)``
-       plus a slack of ``IMPROVEMENT_TOL / 10``, which covers the rounding
-       of ``mcf - IMPROVEMENT_TOL`` and of the test ``mcf - cand``. The fresh
-       block changes the block count and is always scored.
+    One rule skips candidates that cannot be taken, without changing the move
+    sequence or any float. A report joining block t scores
+    ``c(t + j) >= c(t)``: the add is one step from the state of t's whole
+    prefix chain, whose ``1 - survival`` is t's entry in the conflict list,
+    and that step multiplies the survival by ``1 - c_step <= 1``, which
+    rounding cannot raise. As the float product is monotone in each factor
+    too, every move of j into an existing block scores at least ``bound``:
+    the current conflict list with only the origin replaced, at the block
+    count all those moves share. All of j's existing-block targets are
+    skipped when ``bound`` reaches the acceptance threshold
+    ``min(best, mcf - IMPROVEMENT_TOL)`` plus a slack of
+    ``IMPROVEMENT_TOL / 10``, which covers the rounding of
+    ``mcf - IMPROVEMENT_TOL`` and of the test ``mcf - cand``. This covers
+    saturated blocks as well: a conflict list that holds 1.0 scores exactly
+    1.0. The fresh block changes the block count and is always scored.
     """
     n = len(corpus.reports)
-    states = [BlockState(corpus, sorted(map(corpus.index_of, b)), memo) for b in blocks]
+    states = [BlockState(corpus, sorted(map(corpus.index_of, b)), store) for b in blocks]
     where = [0] * n  # report index -> block index
     for b, state in enumerate(states):
         for i in state.members:
@@ -445,44 +431,33 @@ def _descend(
 
     for _ in range(max_sweeps):
         n_blocks = len(states)
-        saturated = [b for b, c in enumerate(conflicts) if c == 1.0]
         best_cand = math.inf
         best_move: tuple[int, int] | None = None  # (report index, target block or -1 for fresh)
         for j in range(n):
             origin = where[j]
-            others = [b for b in saturated if b != origin]
-            if len(others) >= 2:
-                continue
             if len(states[origin].members) > 1:
-                rest = states[origin].moved(j)
-                if rest == 1.0:
-                    continue
                 base = conflicts.copy()
-                base[origin] = rest
+                base[origin] = states[origin].moved(j)
                 keep = 0  # candidates' conflict lists keep the origin's position
             elif n_blocks > 1:
-                rest = None
                 base = conflicts[:origin] + conflicts[origin + 1 :]
                 keep = 1  # the emptied origin drops out; later blocks shift down
             else:
                 continue  # a lone report in a lone block has no move
             weight = c0[len(base)]
-            if others:
-                targets: Iterable[int] = others
-            elif _mcf_value(weight, base) >= min(best_cand, mcf - IMPROVEMENT_TOL) + slack:
-                targets = ()
-            else:
-                targets = (t for t in range(n_blocks) if t != origin)
-            for t in targets:
-                pos = t - keep if t > origin else t
-                held = base[pos]
-                base[pos] = states[t].moved(j)
-                cand = _mcf_value(weight, base)
-                base[pos] = held
-                if mcf - cand > IMPROVEMENT_TOL and cand < best_cand:
-                    best_cand = cand
-                    best_move = (j, t)
-            if rest is not None and not others:
+            if _mcf_value(weight, base) < min(best_cand, mcf - IMPROVEMENT_TOL) + slack:
+                for t in range(n_blocks):
+                    if t == origin:
+                        continue
+                    pos = t - keep if t > origin else t
+                    held = base[pos]
+                    base[pos] = states[t].moved(j)
+                    cand = _mcf_value(weight, base)
+                    base[pos] = held
+                    if mcf - cand > IMPROVEMENT_TOL and cand < best_cand:
+                        best_cand = cand
+                        best_move = (j, t)
+            if not keep:
                 # a fresh block's conflict is 0.0, whose factor 1.0 leaves the product as it is
                 cand = _mcf_value(c0[len(base) + 1], base)
                 if mcf - cand > IMPROVEMENT_TOL and cand < best_cand:
@@ -494,7 +469,7 @@ def _descend(
         origin = where[j]
         if target == -1:
             where[j] = len(states)
-            states.append(BlockState(corpus, [j], memo))
+            states.append(BlockState(corpus, [j], store))
             conflicts.append(0.0)
         else:
             where[j] = target
@@ -528,25 +503,32 @@ def partition_search(
 
     Deterministic given (corpus order, seed, restarts): restart i draws its
     start from its own ``random.Random(f"{seed}:{i}")``, and restarts are
-    merged by (mcf, canonical key). The restarts share one memo of one-step
-    move values (``BlockState.moved``), which lives for this call only; a
-    value depends on the block and the report alone, so no restart's result
+    merged by (mcf, canonical key). The restarts share one store of
+    ``BlockValues`` (see ``BlockState``), which lives for this call only: the
+    canonical conflict and one-step move values of each set of members met.
+    A value depends on the block and the report alone, so no restart's result
     depends on the others. Restarts meet the same blocks often enough that
     sharing saves a third of the fold steps on the track-desk and
-    exhaustive-check benchmark corpora, and an eighth on search-ladder. Each restart's mcf is the canonical one of its
-    final blocks, so the merge compares ``cluster_conflict`` values.
+    exhaustive-check benchmark corpora, and an eighth on search-ladder. Each
+    restart's mcf is the canonical one of its final blocks, so the merge
+    compares ``cluster_conflict`` values, and the report is built from the
+    winner's stored conflicts in partition order, as ``metaconflict`` would
+    give it.
     """
     if config.restarts < 1:
         raise ValidationError("restarts must be >= 1")
-    memo: dict[frozenset[int], dict[int, float]] = {}  # BlockState.moved values, for this call only
+    if config.max_sweeps < 0:
+        raise ValidationError("max_sweeps must be >= 0")
+    store: dict[frozenset[int], BlockValues] = {}
     runs = []
     for i in range(config.restarts):
         rng = random.Random(f"{config.seed}:{i}")
-        blocks, mcf = _descend(corpus, prior, _random_start(corpus, prior, rng), config.max_sweeps, memo)
+        blocks, mcf = _descend(corpus, prior, _random_start(corpus, prior, rng), config.max_sweeps, store)
         runs.append((mcf, _canonical_key(corpus, blocks), blocks))
     _, _, best_blocks = min(runs, key=lambda r: r[:2])
     partition = make_partition(corpus, best_blocks)
-    return partition, metaconflict(partition, prior)
+    conflicts = tuple(store[frozenset(map(corpus.index_of, b))][0] for b in partition.blocks)
+    return partition, _report(prior, conflicts)
 
 
 def enumerate_partitions(n_items: int, max_blocks: int) -> Iterator[list[list[int]]]:

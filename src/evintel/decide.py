@@ -6,11 +6,12 @@ parameter rho in [0, 1] picks the point value E_low + rho (E_high - E_low);
 which alternative is best is then piecewise constant in rho, and an
 alternative's preference is the total length of rho where it wins. The same
 machinery scores sequential games where each player wants to end up holding
-the highest point value on the table. Each play computes every choice's value
-at rho once; backward induction on those values, memoised on (maker, highest
-value so far), reduces to every maker taking its earliest-listed highest
-value (see ``_solve``). ``oracle.reference_play``, which recomputes values at
-every node of the game tree, is the check.
+the highest point value on the table. That game is solved: whatever the other
+makers choose, each maker's subgame-perfect pick is its own earliest-listed
+highest value at rho (proof in ``_solve``), so maker order never changes the
+outcome, and a play computes every choice's value once.
+``oracle.reference_play``, backward induction over the whole game tree with
+values recomputed at every node, is the check.
 """
 
 from __future__ import annotations
@@ -145,15 +146,17 @@ def _solve(makers: Sequence[DecisionMaker], rho: float) -> tuple[list[tuple[Util
     """The subgame-perfect outcome at rho as (choice, value) per maker, and its
     table maximum, from each choice's value computed once.
 
-    Backward induction (``oracle.reference_play``, the check) memoised on
-    (maker t, highest earlier value top) needs one entry per maker, since a
-    maker's pick does not depend on top. By induction from the last maker,
-    suppose every later maker plays its highest value whatever came before,
-    so their values have a fixed maximum R (none for the last maker). Choice i at maker t then has the key (v_i >= max(top, v_i, R), v_i),
-    which never falls as v_i rises, and max is exact on floats. So the
-    earliest-listed highest value has the highest key, and every choice listed
-    before it has a lower value and so a strictly lower key: maker t plays it,
-    whatever top is.
+    Each maker plays its earliest-listed highest value whatever earlier makers
+    chose, so maker order never changes the outcome. By induction from the
+    last maker, suppose every later maker plays its highest value whatever
+    came before, so their values have a fixed maximum R (none for the last
+    maker). With top the highest earlier value, choice i at maker t has the
+    key (v_i >= max(top, v_i, R), v_i), which never falls as v_i rises, and
+    max is exact on floats. So the earliest-listed highest value has the
+    highest key, and every choice listed before it has a lower value and so a
+    strictly lower key: maker t plays it, whatever top is.
+    ``oracle.reference_play``, backward induction over the game tree, is the
+    check.
     """
     outcome = []
     for m in makers:

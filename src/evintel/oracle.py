@@ -16,6 +16,7 @@ from typing import Sequence
 from . import posterior as post
 from .cluster import (
     IMPROVEMENT_TOL,
+    BlockValues,
     DomainPrior,
     EvidenceCorpus,
     MetaConflictReport,
@@ -109,7 +110,7 @@ def reference_combine(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction,
 
 def reference_conflict(corpus: EvidenceCorpus, block) -> float:
     """``cluster_conflict`` as a left fold of ``reference_combine`` over the
-    block in corpus order, 1.0 on a total conflict, and no cache."""
+    block in corpus order, 1.0 on a total conflict."""
     indices = sorted(map(corpus.index_of, block))
     if len(indices) <= 1:
         return 0.0
@@ -581,24 +582,31 @@ def descents_agree(
     corpus: EvidenceCorpus, prior: DomainPrior, start: list[list[str]], max_sweeps: int
 ) -> bool:
     """``cluster._descend`` and ``reference_descent`` from the same start: the
-    same blocks in the same order, a bit-equal mcf, every conflict the
-    descent cached bit-equal to ``reference_conflict``, which folds
+    same blocks in the same order, a bit-equal mcf, every canonical conflict
+    in the descent's store bit-equal to ``reference_conflict``, which folds
     ``reference_combine`` and so shares no step with the descent, and every
-    one-step value in the descent's memo within ``IMPROVEMENT_TOL / 10`` of it."""
-    memo: dict[frozenset[int], dict[int, float]] = {}
-    blocks, mcf = _descend(corpus, prior, [list(b) for b in start], max_sweeps, memo)
+    one-step value in the store within ``IMPROVEMENT_TOL / 10`` of it."""
+    store: dict[frozenset[int], BlockValues] = {}
+    blocks, mcf = _descend(corpus, prior, [list(b) for b in start], max_sweeps, store)
     ref_blocks, ref_mcf = reference_descent(corpus, prior, [list(b) for b in start], max_sweeps)
-    conflict_of = reference_conflicts(corpus)
-    ids = corpus.ids
     return (
         blocks == [sorted(b, key=corpus.index_of) for b in ref_blocks]
         and mcf == ref_mcf
-        and all(reference_conflict(corpus, key) == c for key, c in corpus._conflict_cache.items())
-        and all(
-            abs(conflict_of(ids[i] for i in members ^ {j}) - c) <= IMPROVEMENT_TOL / 10
-            for members, values in memo.items()
-            for j, c in values.items()
-        )
+        and store_matches_reference(corpus, store, IMPROVEMENT_TOL / 10)
+    )
+
+
+def store_matches_reference(
+    corpus: EvidenceCorpus, store: dict[frozenset[int], BlockValues], tol: float
+) -> bool:
+    """Every canonical conflict in a search's store bit-equal to
+    ``reference_conflict`` and every one-step value within ``tol`` of it."""
+    conflict_of = reference_conflicts(corpus)
+    ids = corpus.ids
+    return all(
+        conflict_of(ids[i] for i in members) == conflict
+        and all(abs(conflict_of(ids[i] for i in members ^ {j}) - c) <= tol for j, c in moved.items())
+        for members, (conflict, moved) in store.items()
     )
 
 
@@ -606,17 +614,17 @@ def descents_part_only_at_near_ties(
     corpus: EvidenceCorpus, prior: DomainPrior, start: list[list[str]], max_sweeps: int
 ) -> bool:
     """``descents_agree`` where moved values carry dust, as on masses spread
-    over many orders of magnitude: every conflict the descent cached is
-    bit-equal to ``reference_conflict``; every one-step value in its memo is
-    within ``8 * PRUNE_EPS`` of it (the dust each fold order drops: at most
-    1.7e-12 over 3,000 spread-mass descents); and the two descents return the
-    same blocks and a bit-equal mcf or, at the first sweep where their blocks
-    part, partitions whose canonical mcf are within ``4 * IMPROVEMENT_TOL``
-    (two moves, or a move and a stop, that close)."""
-    memo: dict[frozenset[int], dict[int, float]] = {}
+    over many orders of magnitude: every canonical conflict in the
+    descent's store is bit-equal to ``reference_conflict``; every one-step
+    value in it is within ``8 * PRUNE_EPS`` of it (the dust each fold order
+    drops: at most 1.7e-12 over 3,000 spread-mass descents); and the two
+    descents return the same blocks and a bit-equal mcf or, at the first
+    sweep where their blocks part, partitions whose canonical mcf are within
+    ``4 * IMPROVEMENT_TOL`` (two moves, or a move and a stop, that close)."""
+    store: dict[frozenset[int], BlockValues] = {}
 
     def both(sweeps: int) -> tuple[bool, float, float]:
-        blocks, mcf = _descend(corpus, prior, [list(b) for b in start], sweeps, memo)
+        blocks, mcf = _descend(corpus, prior, [list(b) for b in start], sweeps, store)
         ref_blocks, ref_mcf = reference_descent(corpus, prior, [list(b) for b in start], sweeps)
         return blocks == [sorted(b, key=corpus.index_of) for b in ref_blocks], mcf, ref_mcf
 
@@ -631,17 +639,7 @@ def descents_part_only_at_near_ties(
             if mcf != ref_mcf:
                 return False
         near = abs(mcf - ref_mcf) <= 4 * IMPROVEMENT_TOL
-    conflict_of = reference_conflicts(corpus)
-    ids = corpus.ids
-    return (
-        near
-        and all(reference_conflict(corpus, key) == c for key, c in corpus._conflict_cache.items())
-        and all(
-            abs(conflict_of(ids[i] for i in members ^ {j}) - c) <= 8 * PRUNE_EPS
-            for members, values in memo.items()
-            for j, c in values.items()
-        )
-    )
+    return near and store_matches_reference(corpus, store, 8 * PRUNE_EPS)
 
 
 def check_partition_descent(seed: int, trials: int) -> CheckResult:

@@ -50,7 +50,9 @@ class PipelineConfig:
     def __post_init__(self):
         if self.restarts < 1 or self.top_k < 1:
             raise ValidationError("restarts and top_k must be >= 1")
-        if self.v_max_kmh <= 0:
+        if self.max_sweeps < 0:
+            raise ValidationError("max_sweeps must be >= 0")
+        if not self.v_max_kmh > 0:  # also refuses nan
             raise ValidationError("v_max must be positive")
         if not 0.0 <= self.q_cap < 1.0:
             raise ValidationError("q_cap must lie in [0, 1)")

@@ -104,10 +104,10 @@ def membership_evidence(partition: Partition, prior: DomainPrior, report_id: str
 def specify_corpus(partition: Partition, prior: DomainPrior) -> MembershipSpecification:
     """Membership plausibilities and per-report weights for every report and block.
 
-    Each block's state is built once, so a +/- j conflict the corpus cache
-    does not hold is refolded from the block's prefix chain at j's position
-    (``BlockState.toggled``): every value is ``cluster_conflict``'s, bit for
-    bit, not the search's one-step estimate.
+    Each block's state is built once, and every +/- j conflict is refolded
+    from the block's prefix chain at j's position (``BlockState.toggled``):
+    every value is ``cluster_conflict``'s, bit for bit, not the search's
+    one-step estimate. Nothing is kept once the call returns.
     """
     plausibility: dict[str, dict[BlockKey, float]] = {}
     weights: dict[str, dict[int, float]] = {}

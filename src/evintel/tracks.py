@@ -122,7 +122,7 @@ def kinematic_edge_mass(
     doubt is 1 - v_max/v, capped at ``q_cap``. A non-positive time difference
     gets the full cap.
     """
-    if v_max_kmh <= 0:
+    if not v_max_kmh > 0:  # also refuses nan
         raise ValidationError("v_max must be positive")
     if v_i.rank >= v_j.rank:
         raise ValidationError("edges run from lower to higher rank")

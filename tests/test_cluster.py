@@ -33,6 +33,7 @@ from evintel.oracle import (
 )
 from evintel.pipeline import parse_document
 from evintel.scenario import ScenarioConfig, generate_scenario_doc
+from evintel.specify import specify_corpus
 
 AB = Frame(("A", "B"))
 
@@ -225,7 +226,7 @@ class TestPartitionSearch:
             start_rng = random.Random(trial)
             start = _random_start(corpus, prior, start_rng)
             start_mcf = metaconflict(make_partition(corpus, start), prior).mcf
-            _, end_mcf = _descend(corpus, prior, [list(b) for b in start], max_sweeps=200, memo={})
+            _, end_mcf = _descend(corpus, prior, [list(b) for b in start], max_sweeps=200, store={})
             assert end_mcf <= start_mcf + 1e-12
 
     def test_blocks_never_exceed_prior_support(self):
@@ -236,6 +237,42 @@ class TestPartitionSearch:
                 corpus, DomainPrior.uniform(2), SearchConfig(restarts=6, seed=trial)
             )
             assert part.n_blocks <= 2
+
+    def test_searches_leave_the_corpus_unchanged(self):
+        # no value outlives a search on the corpus object; dicts by contents
+        def attributes(corpus):
+            return {name: dict(v) if isinstance(v, dict) else v for name, v in vars(corpus).items()}
+
+        corpus, _ = separable_corpus(random.Random(67), n_reports=10, n_groups=3)
+        prior = DomainPrior.uniform(4)
+        before = attributes(corpus)
+        part, _ = partition_search(corpus, prior)
+        exhaustive_search(corpus, prior)
+        metaconflict(part, prior)
+        specify_corpus(part, prior)
+        assert attributes(corpus) == before
+
+    def test_repeated_search_equals_one_on_a_fresh_copy(self):
+        # and the report is the metaconflict of the result, bit for bit, on
+        # corpora whose blocks have unequal conflicts
+        rng = random.Random(5)
+        prior = DomainPrior.uniform(5)
+        for _ in range(5):
+            corpus = mixed_corpus(rng, 12, 3)
+            partition_search(corpus, prior)
+            part, report = partition_search(corpus, prior)
+            fresh_part, fresh_report = partition_search(EvidenceCorpus(corpus.frame, corpus.reports), prior)
+            assert part.blocks == fresh_part.blocks
+            assert report == fresh_report == metaconflict(part, prior)
+
+    def test_invalid_config(self, pair_corpus):
+        prior = DomainPrior.uniform(2)
+        with pytest.raises(ValidationError, match="restarts"):
+            partition_search(pair_corpus, prior, SearchConfig(restarts=0))
+        with pytest.raises(ValidationError, match="max_sweeps"):
+            partition_search(pair_corpus, prior, SearchConfig(max_sweeps=-1))
+        part, report = partition_search(pair_corpus, prior, SearchConfig(max_sweeps=0))  # the best start
+        assert report == metaconflict(part, prior)
 
     def test_hopeless_prior_returns_full_conflict(self):
         # every reachable block count has prior 0, so the best any partition
@@ -320,11 +357,6 @@ class TestBranchAndBound:
         assert part.blocks == (("e1", "e3"), ("e2", "e4"))
         assert report.mcf == 0.5
 
-    def test_only_the_result_enters_the_conflict_cache(self):
-        corpus, _ = separable_corpus(random.Random(67), n_reports=10, n_groups=3)
-        part, _ = exhaustive_search(corpus, DomainPrior.uniform(4))
-        assert set(corpus._conflict_cache) == {frozenset(b) for b in part.blocks}
-
     def test_invalid_max_blocks(self, pair_corpus):
         with pytest.raises(ValidationError, match="max_blocks"):
             exhaustive_search(pair_corpus, DomainPrior.uniform(2), max_blocks=0)
@@ -382,7 +414,7 @@ class TestIncrementalDescent:
         corpus, prior = parse_document(doc)
         for i in range(4):
             start = _random_start(corpus, prior, random.Random(f"0:{i}"))
-            assert descents_agree(EvidenceCorpus(corpus.frame, corpus.reports), prior, start, 200)
+            assert descents_agree(corpus, prior, start, 200)
 
     def test_block_state_conflicts_match_cluster_conflict(self):
         # block +/- j, the block itself and the block after each toggle, bit for
@@ -392,13 +424,12 @@ class TestIncrementalDescent:
         totals = 0
         for _ in range(60):
             corpus = mixed_corpus(rng, rng.randint(2, 9), rng.randint(2, 3), categorical_share=0.3)
-            fresh = EvidenceCorpus(corpus.frame, corpus.reports)
             ids = corpus.ids
 
             def expected(indices):
                 block = [ids[i] for i in indices]
                 c = reference_conflict(corpus, block)
-                assert cluster_conflict(fresh, block) == c
+                assert cluster_conflict(corpus, block) == c
                 return c
 
             members = sorted(rng.sample(range(len(ids)), rng.randint(1, len(ids))))
@@ -413,8 +444,6 @@ class TestIncrementalDescent:
             for j in rng.sample(range(len(ids)), len(ids)):
                 if len(state.members) > 1 or state.members != [j]:
                     state.toggle(j)
-                    corpus._conflict_cache.clear()
-                    fresh._conflict_cache.clear()
                     assert state.conflict() == expected(state.members)
         assert totals > 0
 
@@ -429,9 +458,10 @@ class TestIncrementalDescent:
         raising = [make_mass(frame, [(("A",), 1.0)]), simple(frame, "A", 0.5), make_mass(frame, [(("B",), 1.0)])]
         for e1, e2, e3 in (rounding, raising):
 
-            def state(*members):  # on a corpus of its own, so no value comes from a cache
-                corpus = corpus_of(frame, ("e1", e1), ("e2", e2), ("v", vacuous(frame)), ("e3", e3))
-                return BlockState(corpus, list(members), {})
+            corpus = corpus_of(frame, ("e1", e1), ("e2", e2), ("v", vacuous(frame)), ("e3", e3))
+
+            def state(*members):  # with a store of its own, so no value comes from another state
+                return BlockState(corpus, list(members))
 
             pair, c12 = reference_combine(e1, e2)
             try:
@@ -446,7 +476,7 @@ class TestIncrementalDescent:
             assert state(0, 1).moved(3) == 1.0  # the whole prefix chain's state plus e3
             assert state(0, 1, 2, 3).moved(2) == 1.0  # prefix (e1, e2) plus suffix (e3)
             assert state(0, 1, 3).conflict() == 1.0
-            assert reference_conflict(state(0).corpus, ["e1", "e2", "e3"]) == 1.0
+            assert reference_conflict(corpus, ["e1", "e2", "e3"]) == 1.0
 
     def test_moved_is_within_tolerance_of_the_reference(self):
         # block +/- j by one step from the prefix and suffix chains, against the
@@ -477,8 +507,8 @@ class TestIncrementalDescent:
         for _ in range(40):
             n = rng.randint(2, 9)
             corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=0.2, vacuous_share=0.1)
-            memo: dict = {}
-            state = BlockState(corpus, sorted(rng.sample(range(n), rng.randint(1, n))), memo)
+            store: dict = {}
+            state = BlockState(corpus, sorted(rng.sample(range(n), rng.randint(1, n))), store)
             for _ in range(12):
                 fresh = BlockState(corpus, list(state.members), {})
                 for j in range(n):
@@ -487,7 +517,7 @@ class TestIncrementalDescent:
                 assert state.conflict() == fresh.conflict()
                 j = rng.randrange(n)
                 if state.members != [j]:
-                    memo.clear()  # so no value is read back from before the toggle
+                    store.clear()  # so no value is read back from before the toggle
                     state.toggle(j)
 
     def test_joining_never_lowers_the_moved_conflict(self):
@@ -521,9 +551,13 @@ class TestIncrementalDescent:
             assert descents_part_only_at_near_ties(corpus, prior, start, 200)
 
     def test_search_caches_only_canonical_conflicts(self):
+        # the store partition_search's restarts share, built as it builds it
         doc = generate_scenario_doc(ScenarioConfig(seed=3, targets=4, reports_per_target=6, frame_size=6))
         corpus, prior = parse_document(doc)
-        partition_search(corpus, prior, SearchConfig(restarts=20, seed=0))
-        assert corpus._conflict_cache
-        for key, c in corpus._conflict_cache.items():
-            assert c == reference_conflict(corpus, key)
+        ids = corpus.ids
+        store: dict = {}
+        for i in range(20):
+            _descend(corpus, prior, _random_start(corpus, prior, random.Random(f"0:{i}")), 200, store)
+        assert store
+        for members, (c, _) in store.items():
+            assert c == reference_conflict(corpus, [ids[i] for i in members])

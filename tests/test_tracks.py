@@ -66,6 +66,14 @@ class TestKinematicEdgeMass:
         with pytest.raises(ValidationError, match="time and position"):
             kinematic_edge_mass(TrackVertex(1), self.v(2, 1.0, 1.0), 25.0)
 
+    @pytest.mark.parametrize("v_max", [0.0, -1.0, float("nan")])
+    def test_speed_limit_must_be_positive(self, v_max):
+        with pytest.raises(ValidationError, match="v_max must be positive"):
+            kinematic_edge_mass(self.v(1, 0.0, 0.0), self.v(2, 1.0, 1.0), v_max)
+
+    def test_infinite_speed_limit_doubts_nothing(self):
+        assert kinematic_edge_mass(self.v(1, 0.0, 0.0), self.v(2, 0.001, 1000.0), float("inf")) == 0.0
+
     def test_rank_order(self):
         with pytest.raises(ValidationError, match="lower to higher"):
             kinematic_edge_mass(self.v(2, 0.0, 0.0), self.v(1, 1.0, 1.0), 25.0)
