@@ -7,11 +7,9 @@ import argparse
 import random
 import time
 
-from evintel.oracle import random_track_graph
+from evintel.oracle import OracleSizeError, all_paths, combine_oracle, random_track_graph
 from evintel.tracks import (
-    OracleSizeError,
     best_path_dp,
-    combine_oracle,
     path_plausibility_unnorm,
     path_support,
     track_conflict,
@@ -41,7 +39,7 @@ def main() -> None:
         conflict, supports, dp_s = sweep(g)
         worst_pls = max(
             abs(path_plausibility_unnorm(g, p) - analysis.plausibility_unnorm[p])
-            for p in g.all_paths()
+            for p in all_paths(g)
         )
         worst_dp = max(
             [abs(conflict - analysis.conflict)]

@@ -63,11 +63,9 @@ from .specify import (
     specify_corpus,
 )
 from .tracks import (
-    TrackAnalysis,
     TrackGraph,
     TrackVertex,
     best_path_dp,
-    combine_oracle,
     dot_export,
     kinematic_edge_mass,
     kinematic_graph,

@@ -16,7 +16,6 @@ from . import pipeline as pl
 from . import tracks
 from .cluster import DomainPrior
 from .ds import ValidationError
-from .oracle import run_all_checks
 from .scenario import ScenarioConfig, generate_scenario
 
 
@@ -96,10 +95,17 @@ def _config(args) -> pl.PipelineConfig:
     )
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write ({exc.strerror})") from None
+
+
 def _emit(doc: dict, text: str, out: Path | None) -> None:
     sys.stdout.write(text)
     if out is not None:
-        out.write_text(pl.render_json(doc), encoding="utf-8")
+        _write(out, pl.render_json(doc))
 
 
 _STAGES = {
@@ -117,7 +123,7 @@ def _write_dot(result: pl.PipelineResult, dot_path: Path) -> None:
         path = dot_path
         if len(graphs) > 1:
             path = dot_path.with_name(f"{dot_path.stem}_block{block}{dot_path.suffix}")
-        path.write_text(tracks.dot_export(graph), encoding="utf-8")
+        _write(path, tracks.dot_export(graph))
 
 
 def _load(args) -> tuple[dict, str]:
@@ -163,13 +169,15 @@ def _run_gen(args) -> int:
     )
     content = generate_scenario(cfg)
     if args.out is not None:
-        args.out.write_text(content, encoding="utf-8")
+        _write(args.out, content)
     else:
         sys.stdout.write(content)
     return 0
 
 
 def _run_oracle_check(args) -> int:
+    from .oracle import run_all_checks  # the only command that loads the oracles
+
     results = run_all_checks(seed=args.seed, trials=args.trials)
     width = max(len(r.name) for r in results)
     failed = False

@@ -16,7 +16,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .ds import (
     Frame,
@@ -529,28 +529,6 @@ def partition_search(
     partition = make_partition(corpus, best_blocks)
     conflicts = tuple(store[frozenset(map(corpus.index_of, b))][0] for b in partition.blocks)
     return partition, _report(prior, conflicts)
-
-
-def enumerate_partitions(n_items: int, max_blocks: int) -> Iterator[list[list[int]]]:
-    """All set partitions of range(n_items) with at most ``max_blocks`` blocks.
-
-    Generated via restricted growth strings: item 0 is always in block 0 and
-    item i may open at most one new block.
-    """
-    labels = [0] * n_items
-
-    def grow(i: int, used: int) -> Iterator[list[list[int]]]:
-        if i == n_items:
-            blocks: list[list[int]] = [[] for _ in range(used)]
-            for item, label in enumerate(labels):
-                blocks[label].append(item)
-            yield blocks
-            return
-        for label in range(min(used + 1, max_blocks)):
-            labels[i] = label
-            yield from grow(i + 1, max(used, label + 1))
-
-    yield from grow(0, 0)
 
 
 def _branch_and_bound(corpus: EvidenceCorpus, prior: DomainPrior, cap: int) -> list[list[str]]:

@@ -240,33 +240,6 @@ def combine_all(ms: Sequence[MassFunction]) -> tuple[MassFunction, float]:
     return acc, 1.0 - survival
 
 
-def enumerate_conflict(ms: Sequence[MassFunction]) -> float:
-    """Simultaneous conflict by full product-space enumeration (oracle route).
-
-    Sums the product mass of every focal selection whose intersection is empty.
-    Exponential in the number of focal sets; keep inputs small.
-    """
-    if not ms:
-        raise ValidationError("no mass functions to combine")
-    frame = ms[0].frame
-    for m in ms[1:]:
-        if m.frame != frame:
-            raise ValidationError("mass functions live on different frames")
-    terms: list[float] = []
-
-    def walk(i: int, bits: int, weight: float) -> None:
-        if bits == 0:
-            terms.append(weight)
-            return
-        if i == len(ms):
-            return
-        for b, v in ms[i].masses.items():
-            walk(i + 1, bits & b, weight * v)
-
-    walk(0, frame.full_bits, 1.0)
-    return min(1.0, math.fsum(terms))
-
-
 def query_bel_pls(m: MassFunction, a: Iterable[str] | FocalSet) -> tuple[float, float]:
     """Belief and plausibility of a subset: mass contained in it, mass touching it."""
     if isinstance(a, FocalSet):

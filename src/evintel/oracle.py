@@ -4,6 +4,9 @@ Every check pits a production computation against a structurally different
 one (enumeration, grid scan, exhaustive search) on seeded random instances,
 and reports the largest deviation seen. The CLI exposes them as
 ``oracle-check``; the test suite drives the same generators harder.
+
+Every reference route lives here and no production module imports this one,
+so the pipeline runs only its fast routes.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import product
+from typing import Iterator, Sequence
 
-from . import posterior as post
 from .cluster import (
     IMPROVEMENT_TOL,
     BlockValues,
@@ -28,7 +31,6 @@ from .cluster import (
     _mcf_value,
     _random_start,
     domain_conflict,
-    enumerate_partitions,
     exhaustive_search,
     make_partition,
     partition_search,
@@ -54,18 +56,20 @@ from .ds import (
     _dempster_step,
     combine_all,
     combine_dempster,
-    enumerate_conflict,
     make_mass,
     vacuous,
 )
+from .posterior import CountingBpa, counting_bpa, posterior_distribution
 from .tracks import (
+    Path,
     TrackGraph,
     best_path_dp,
-    combine_oracle,
     path_plausibility_unnorm,
     path_support,
     track_conflict,
 )
+
+ORACLE_VERTEX_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,33 @@ def reference_conflicts(corpus: EvidenceCorpus):
         return c
 
     return conflict_of
+
+
+def enumerate_conflict(ms: Sequence[MassFunction]) -> float:
+    """Simultaneous conflict by full product-space enumeration (oracle route).
+
+    Sums the product mass of every focal selection whose intersection is empty.
+    Exponential in the number of focal sets; keep inputs small.
+    """
+    if not ms:
+        raise ValidationError("no mass functions to combine")
+    frame = ms[0].frame
+    for m in ms[1:]:
+        if m.frame != frame:
+            raise ValidationError("mass functions live on different frames")
+    terms: list[float] = []
+
+    def walk(i: int, bits: int, weight: float) -> None:
+        if bits == 0:
+            terms.append(weight)
+            return
+        if i == len(ms):
+            return
+        for b, v in ms[i].masses.items():
+            walk(i + 1, bits & b, weight * v)
+
+    walk(0, frame.full_bits, 1.0)
+    return min(1.0, math.fsum(terms))
 
 
 def _outcome(combine, *args) -> tuple:
@@ -267,6 +298,28 @@ def random_prior(rng: random.Random, r_max: int, zero_share: float = 0.0) -> Dom
         weights[rng.randrange(r_max)] = 1.0
     total = sum(weights)
     return DomainPrior({r + 1: w / total for r, w in enumerate(weights)})
+
+
+def enumerate_partitions(n_items: int, max_blocks: int) -> Iterator[list[list[int]]]:
+    """All set partitions of range(n_items) with at most ``max_blocks`` blocks.
+
+    Generated via restricted growth strings: item 0 is always in block 0 and
+    item i may open at most one new block.
+    """
+    labels = [0] * n_items
+
+    def grow(i: int, used: int) -> Iterator[list[list[int]]]:
+        if i == n_items:
+            blocks: list[list[int]] = [[] for _ in range(used)]
+            for item, label in enumerate(labels):
+                blocks[label].append(item)
+            yield blocks
+            return
+        for label in range(min(used + 1, max_blocks)):
+            labels[i] = label
+            yield from grow(i + 1, max(used, label + 1))
+
+    yield from grow(0, 0)
 
 
 def enumerate_search(
@@ -420,6 +473,139 @@ def random_game(rng: random.Random, max_makers: int = 4, max_choices: int = 4, t
     return makers
 
 
+def counting_bpa_enumeration(supports: Sequence[float]) -> CountingBpa:
+    """Oracle route: sum over all 2^n existence patterns. Exponential; keep n small."""
+    n = len(supports)
+    acc = [0.0] * (n + 1)
+    for pattern in product((0, 1), repeat=n):
+        weight = math.prod(s if on else 1.0 - s for s, on in zip(supports, pattern))
+        acc[sum(pattern)] += weight
+    return CountingBpa(tuple(acc[1:]), acc[0])
+
+
+def counting_frame(r_max: int) -> Frame:
+    return Frame(tuple(str(r) for r in range(1, r_max + 1)))
+
+
+def counting_to_mass(cb: CountingBpa, r_max: int) -> MassFunction:
+    """The counting bpa as a plain mass function on the count frame {1..r_max}."""
+    frame = counting_frame(r_max)
+    entries: list[tuple[tuple[str, ...], float]] = []
+    for k, mass in enumerate(cb.at_least, start=1):
+        entries.append((tuple(str(r) for r in range(k, r_max + 1)), mass))
+    entries.append((frame.elements, cb.vacuous))
+    return make_mass(frame, entries)
+
+
+def prior_to_mass(prior: DomainPrior) -> MassFunction:
+    """The Bayesian prior as a singleton-focal mass function on the count frame."""
+    frame = counting_frame(prior.r_max)
+    entries = [((str(r),), p) for r, p in sorted(prior.probabilities.items()) if p > 0]
+    return make_mass(frame, entries)
+
+
+class OracleSizeError(ValueError):
+    """The enumeration oracle refuses graphs beyond its vertex limit."""
+
+    def __init__(self, n: int):
+        super().__init__(
+            f"combine_oracle enumerates 2^(n + n(n-1)/2) selections and supports "
+            f"at most {ORACLE_VERTEX_LIMIT} vertices; got {n}"
+        )
+
+
+@dataclass(frozen=True)
+class TrackAnalysis:
+    """Oracle output: per-path support and plausibility plus the total conflict."""
+
+    conflict: float
+    support: dict[Path, float]
+    plausibility: dict[Path, float]
+    plausibility_unnorm: dict[Path, float]
+
+
+def _bits_to_path(bits: int) -> Path:
+    return tuple(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+def all_paths(g: TrackGraph) -> list[Path]:
+    """Every strictly increasing vertex sequence, by subset encoding order."""
+    n = g.n
+    return [_bits_to_path(bits) for bits in range(1, 1 << n)]
+
+
+def _evidence_focals(g: TrackGraph) -> list[tuple[int, float]]:
+    """Each piece of evidence as (set-of-paths bitmask, mass) over the path frame."""
+    n = g.n
+    n_paths = (1 << n) - 1
+    focals: list[tuple[int, float]] = []
+    for i in range(1, n + 1):
+        mask = 0
+        for bits in range(1, n_paths + 1):
+            if bits >> (i - 1) & 1:
+                mask |= 1 << (bits - 1)
+        focals.append((mask, g.p[i - 1]))
+    for (i, j), qij in sorted(g.q.items()):
+        between = ((1 << (j - 1)) - 1) & ~((1 << i) - 1)
+        mask = 0
+        for bits in range(1, n_paths + 1):
+            direct = bits >> (i - 1) & 1 and bits >> (j - 1) & 1 and not bits & between
+            if not direct:
+                mask |= 1 << (bits - 1)
+        focals.append((mask, qij))
+    return focals
+
+
+def combine_oracle(g: TrackGraph) -> TrackAnalysis:
+    """Support and plausibility of every track by full product-space enumeration.
+
+    The frame is the set of all nonempty tracks. Vertex evidence i puts mass
+    p_i on "the track visits i"; edge evidence (i, j) puts mass q_ij on "the
+    track does not make the direct transition i -> j". All 2^(#evidence)
+    focal selections are enumerated (sharing selection prefixes) and their
+    intersections accumulated.
+    """
+    if g.n > ORACLE_VERTEX_LIMIT:
+        raise OracleSizeError(g.n)
+    n_paths = (1 << g.n) - 1
+    full = (1 << n_paths) - 1
+    acc: dict[int, float] = {}
+    focals = _evidence_focals(g)
+    stack: list[tuple[int, int, float]] = [(0, full, 1.0)]
+    while stack:
+        idx, mask, weight = stack.pop()
+        if weight == 0.0:
+            continue
+        if idx == len(focals):
+            acc[mask] = acc.get(mask, 0.0) + weight
+            continue
+        fmask, w = focals[idx]
+        stack.append((idx + 1, mask, weight * (1.0 - w)))
+        stack.append((idx + 1, mask & fmask, weight * w))
+
+    conflict = acc.pop(0, 0.0)
+    norm = math.fsum(acc.values())  # surviving mass; 1 - conflict loses it near total conflict
+    bel_unnorm = [0.0] * n_paths
+    pls_unnorm = [0.0] * n_paths
+    for mask, weight in acc.items():
+        if mask.bit_count() == 1:
+            bel_unnorm[mask.bit_length() - 1] += weight
+        m = mask
+        while m:
+            low = m & -m
+            pls_unnorm[low.bit_length() - 1] += weight
+            m ^= low
+    support: dict[Path, float] = {}
+    plausibility: dict[Path, float] = {}
+    plausibility_unnorm: dict[Path, float] = {}
+    for bits in range(1, n_paths + 1):
+        path = _bits_to_path(bits)
+        support[path] = bel_unnorm[bits - 1] / norm
+        plausibility[path] = pls_unnorm[bits - 1] / norm
+        plausibility_unnorm[path] = pls_unnorm[bits - 1]
+    return TrackAnalysis(conflict, support, plausibility, plausibility_unnorm)
+
+
 def check_dempster_step(seed: int, trials: int) -> CheckResult:
     """``kernel_agrees`` along random folds: a running combination against the
     next random mass, with weights spread down to 1e-14, until a total conflict."""
@@ -455,8 +641,8 @@ def check_counting_bpa(seed: int, trials: int) -> CheckResult:
     max_dev = 0.0
     for _ in range(trials):
         supports = [rng.random() for _ in range(rng.randint(1, 10))]
-        a = post.counting_bpa(supports)
-        b = post.counting_bpa_enumeration(supports)
+        a = counting_bpa(supports)
+        b = counting_bpa_enumeration(supports)
         max_dev = max(max_dev, abs(a.vacuous - b.vacuous))
         for x, y in zip(a.at_least, b.at_least):
             max_dev = max(max_dev, abs(x - y))
@@ -475,9 +661,9 @@ def check_posterior_combination(seed: int, trials: int) -> CheckResult:
         prior = DomainPrior(
             {r + 1: w / sum(weights) for r, w in enumerate(weights)}
         )
-        cb = post.counting_bpa(supports)
-        direct = post.posterior_distribution(cb, prior)
-        combined, _ = combine_dempster(post.counting_to_mass(cb, r_max), post.prior_to_mass(prior))
+        cb = counting_bpa(supports)
+        direct = posterior_distribution(cb, prior)
+        combined, _ = combine_dempster(counting_to_mass(cb, r_max), prior_to_mass(prior))
         for r in range(1, r_max + 1):
             via_ds = combined.mass((str(r),))
             max_dev = max(max_dev, abs(direct.probabilities[r] - via_ds))
@@ -490,7 +676,7 @@ def check_track_plausibility(seed: int, trials: int) -> CheckResult:
     for _ in range(trials):
         g = random_track_graph(rng.randint(2, 5), rng)
         analysis = combine_oracle(g)
-        for path in g.all_paths():
+        for path in all_paths(g):
             max_dev = max(
                 max_dev, abs(path_plausibility_unnorm(g, path) - analysis.plausibility_unnorm[path])
             )
@@ -506,7 +692,7 @@ def check_track_normalization(seed: int, trials: int) -> CheckResult:
         analysis = combine_oracle(g)
         conflict, norm = track_conflict(g)
         max_dev = max(max_dev, abs(conflict - analysis.conflict))
-        for path in g.all_paths():
+        for path in all_paths(g):
             max_dev = max(max_dev, abs(path_support(g, path, norm) - analysis.support[path]))
     return CheckResult("track conflict and support DP vs oracle", max_dev <= 1e-12, max_dev)
 
@@ -517,8 +703,8 @@ def check_best_path(seed: int, trials: int) -> CheckResult:
     for _ in range(trials):
         g = random_track_graph(rng.randint(2, 5), rng)
         (best, value), *_ = best_path_dp(g, top_k=1)
-        best_val = max(path_plausibility_unnorm(g, p) for p in g.all_paths())
-        brute = min(p for p in g.all_paths() if path_plausibility_unnorm(g, p) == best_val)
+        best_val = max(path_plausibility_unnorm(g, p) for p in all_paths(g))
+        brute = min(p for p in all_paths(g) if path_plausibility_unnorm(g, p) == best_val)
         if best != brute or abs(value - best_val) > 1e-12:
             failures += 1
     return CheckResult("best path DP vs exhaustive argmax", failures == 0, float(failures))
@@ -686,6 +872,8 @@ def check_game_solver(seed: int, trials: int) -> CheckResult:
 
 
 def run_all_checks(seed: int = 0, trials: int = 25) -> list[CheckResult]:
+    if trials < 1:  # most checks would run no trial and pass
+        raise ValidationError("trials must be >= 1")
     return [
         check_sequential_conflict(seed, trials),
         check_counting_bpa(seed + 1, trials),

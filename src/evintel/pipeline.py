@@ -171,6 +171,10 @@ def load_document(path: str | FilePath) -> dict:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValidationError(f"{path}: no such file") from None
+    except OSError as exc:  # a directory, no permission, ...
+        raise ValidationError(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
 
 from .cluster import DomainPrior, EvidenceCorpus
-from .ds import Frame, MassFunction, ValidationError, make_mass
+from .ds import ValidationError
 
 
 @dataclass(frozen=True)
@@ -68,16 +67,6 @@ def counting_bpa(supports: Sequence[float]) -> CountingBpa:
     return CountingBpa(tuple(pmf[1:]), pmf[0])
 
 
-def counting_bpa_enumeration(supports: Sequence[float]) -> CountingBpa:
-    """Oracle route: sum over all 2^n existence patterns. Exponential; keep n small."""
-    n = len(supports)
-    acc = [0.0] * (n + 1)
-    for pattern in product((0, 1), repeat=n):
-        weight = math.prod(s if on else 1.0 - s for s, on in zip(supports, pattern))
-        acc[sum(pattern)] += weight
-    return CountingBpa(tuple(acc[1:]), acc[0])
-
-
 def posterior_distribution(cb: CountingBpa, prior: DomainPrior) -> PosteriorDistribution:
     """Dempster combination of the counting bpa with a Bayesian count prior.
 
@@ -97,24 +86,3 @@ def posterior_distribution(cb: CountingBpa, prior: DomainPrior) -> PosteriorDist
     if total <= 0.0:
         raise ValidationError("prior is incompatible with every supported count")
     return PosteriorDistribution({r: v / total for r, v in unnorm.items()})
-
-
-def counting_frame(r_max: int) -> Frame:
-    return Frame(tuple(str(r) for r in range(1, r_max + 1)))
-
-
-def counting_to_mass(cb: CountingBpa, r_max: int) -> MassFunction:
-    """The counting bpa as a plain mass function on the count frame {1..r_max}."""
-    frame = counting_frame(r_max)
-    entries: list[tuple[tuple[str, ...], float]] = []
-    for k, mass in enumerate(cb.at_least, start=1):
-        entries.append((tuple(str(r) for r in range(k, r_max + 1)), mass))
-    entries.append((frame.elements, cb.vacuous))
-    return make_mass(frame, entries)
-
-
-def prior_to_mass(prior: DomainPrior) -> MassFunction:
-    """The Bayesian prior as a singleton-focal mass function on the count frame."""
-    frame = counting_frame(prior.r_max)
-    entries = [((str(r),), p) for r, p in sorted(prior.probabilities.items()) if p > 0]
-    return make_mass(frame, entries)

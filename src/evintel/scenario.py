@@ -39,8 +39,10 @@ class ScenarioConfig:
                 f"frame of {self.frame_size} elements cannot give {self.targets} "
                 "targets disjoint focal sets"
             )
-        if self.area_km <= 0 or self.v_max_kmh <= 0 or self.time_span_s <= 0:
+        if not (self.area_km > 0 and self.v_max_kmh > 0 and self.time_span_s > 0):  # also refuses nan
             raise ValidationError("kinematic parameters must be positive")
+        if math.isinf(self.area_km) or math.isinf(self.time_span_s):  # would write infinite times or positions
+            raise ValidationError("area and time span must be finite")
         if self.r_max is not None and self.r_max < 1:
             raise ValidationError("r_max must be >= 1")
 

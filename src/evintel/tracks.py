@@ -11,7 +11,7 @@ factorizes as
 which the ranking DP exploits. The total conflict of combining all evidence
 and the support of a track are counted exactly by sweeps over the vertices in
 rank order (``track_conflict``, ``path_support``), following the ordered-DAG
-structure of Bergsten & Schubert (1993). ``combine_oracle`` recomputes
+structure of Bergsten & Schubert (1993). ``oracle.combine_oracle`` recomputes
 everything by enumerating the full product space of evidence selections and is
 the independent check.
 """
@@ -24,21 +24,10 @@ from typing import Sequence
 
 from .ds import ValidationError
 
-ORACLE_VERTEX_LIMIT = 6
 NORM_VERTEX_LIMIT = 12  # the sweeps keep up to 2^(n-1) states; scripts/track_scaling.py times them
 DEFAULT_Q_CAP = 0.999
 
 Path = tuple[int, ...]
-
-
-class OracleSizeError(ValueError):
-    """The enumeration oracle refuses graphs beyond its vertex limit."""
-
-    def __init__(self, n: int):
-        super().__init__(
-            f"combine_oracle enumerates 2^(n + n(n-1)/2) selections and supports "
-            f"at most {ORACLE_VERTEX_LIMIT} vertices; got {n}"
-        )
 
 
 @dataclass(frozen=True)
@@ -78,25 +67,6 @@ class TrackGraph:
     @property
     def n(self) -> int:
         return len(self.p)
-
-    def all_paths(self) -> list[Path]:
-        """Every strictly increasing vertex sequence, by subset encoding order."""
-        n = self.n
-        return [_bits_to_path(bits) for bits in range(1, 1 << n)]
-
-
-@dataclass(frozen=True)
-class TrackAnalysis:
-    """Oracle output: per-path support and plausibility plus the total conflict."""
-
-    conflict: float
-    support: dict[Path, float]
-    plausibility: dict[Path, float]
-    plausibility_unnorm: dict[Path, float]
-
-
-def _bits_to_path(bits: int) -> Path:
-    return tuple(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
 
 
 def _check_path(g: TrackGraph, path: Sequence[int]) -> Path:
@@ -273,78 +243,6 @@ def path_support(g: TrackGraph, path: Sequence[int], norm: float | None = None) 
         states = nxt
     alone = math.fsum(w for (_, a), w in states.items() if not a)
     return path_plausibility_unnorm(g, path) * alone / norm
-
-
-def _evidence_focals(g: TrackGraph) -> list[tuple[int, float]]:
-    """Each piece of evidence as (set-of-paths bitmask, mass) over the path frame."""
-    n = g.n
-    n_paths = (1 << n) - 1
-    focals: list[tuple[int, float]] = []
-    for i in range(1, n + 1):
-        mask = 0
-        for bits in range(1, n_paths + 1):
-            if bits >> (i - 1) & 1:
-                mask |= 1 << (bits - 1)
-        focals.append((mask, g.p[i - 1]))
-    for (i, j), qij in sorted(g.q.items()):
-        between = ((1 << (j - 1)) - 1) & ~((1 << i) - 1)
-        mask = 0
-        for bits in range(1, n_paths + 1):
-            direct = bits >> (i - 1) & 1 and bits >> (j - 1) & 1 and not bits & between
-            if not direct:
-                mask |= 1 << (bits - 1)
-        focals.append((mask, qij))
-    return focals
-
-
-def combine_oracle(g: TrackGraph) -> TrackAnalysis:
-    """Support and plausibility of every track by full product-space enumeration.
-
-    The frame is the set of all nonempty tracks. Vertex evidence i puts mass
-    p_i on "the track visits i"; edge evidence (i, j) puts mass q_ij on "the
-    track does not make the direct transition i -> j". All 2^(#evidence)
-    focal selections are enumerated (sharing selection prefixes) and their
-    intersections accumulated.
-    """
-    if g.n > ORACLE_VERTEX_LIMIT:
-        raise OracleSizeError(g.n)
-    n_paths = (1 << g.n) - 1
-    full = (1 << n_paths) - 1
-    acc: dict[int, float] = {}
-    focals = _evidence_focals(g)
-    stack: list[tuple[int, int, float]] = [(0, full, 1.0)]
-    while stack:
-        idx, mask, weight = stack.pop()
-        if weight == 0.0:
-            continue
-        if idx == len(focals):
-            acc[mask] = acc.get(mask, 0.0) + weight
-            continue
-        fmask, w = focals[idx]
-        stack.append((idx + 1, mask, weight * (1.0 - w)))
-        stack.append((idx + 1, mask & fmask, weight * w))
-
-    conflict = acc.pop(0, 0.0)
-    norm = math.fsum(acc.values())  # surviving mass; 1 - conflict loses it near total conflict
-    bel_unnorm = [0.0] * n_paths
-    pls_unnorm = [0.0] * n_paths
-    for mask, weight in acc.items():
-        if mask.bit_count() == 1:
-            bel_unnorm[mask.bit_length() - 1] += weight
-        m = mask
-        while m:
-            low = m & -m
-            pls_unnorm[low.bit_length() - 1] += weight
-            m ^= low
-    support: dict[Path, float] = {}
-    plausibility: dict[Path, float] = {}
-    plausibility_unnorm: dict[Path, float] = {}
-    for bits in range(1, n_paths + 1):
-        path = _bits_to_path(bits)
-        support[path] = bel_unnorm[bits - 1] / norm
-        plausibility[path] = pls_unnorm[bits - 1] / norm
-        plausibility_unnorm[path] = pls_unnorm[bits - 1]
-    return TrackAnalysis(conflict, support, plausibility, plausibility_unnorm)
 
 
 def best_path_dp(g: TrackGraph, top_k: int = 1) -> list[tuple[Path, float]]:

@@ -23,8 +23,15 @@ from evintel.decide import (
     rho_segmentation,
     sequential_play,
 )
-from evintel.ds import Frame, combine_all, combine_dempster, enumerate_conflict
+from evintel.ds import Frame, combine_all, combine_dempster
 from evintel.oracle import (
+    OracleSizeError,
+    all_paths,
+    combine_oracle,
+    counting_bpa_enumeration,
+    counting_to_mass,
+    enumerate_conflict,
+    prior_to_mass,
     random_mass,
     random_simple_support,
     random_track_graph,
@@ -33,16 +40,11 @@ from evintel.oracle import (
 from evintel.posterior import (
     CountingBpa,
     counting_bpa,
-    counting_bpa_enumeration,
-    counting_to_mass,
     posterior_distribution,
-    prior_to_mass,
 )
 from evintel.specify import specify_corpus
 from evintel.tracks import (
-    OracleSizeError,
     best_path_dp,
-    combine_oracle,
     path_plausibility_unnorm,
 )
 
@@ -187,15 +189,15 @@ def test_c6_track_oracle_equivalence():
         for _ in range(100):
             g = random_track_graph(n, rng)
             analysis = combine_oracle(g)
-            for path in g.all_paths():
+            for path in all_paths(g):
                 assert (
                     abs(path_plausibility_unnorm(g, path) - analysis.plausibility_unnorm[path])
                     <= 1e-9
                 )
             (top, _), *_ = best_path_dp(g, top_k=1)
-            best_value = max(path_plausibility_unnorm(g, p) for p in g.all_paths())
+            best_value = max(path_plausibility_unnorm(g, p) for p in all_paths(g))
             brute = min(
-                p for p in g.all_paths() if path_plausibility_unnorm(g, p) == best_value
+                p for p in all_paths(g) if path_plausibility_unnorm(g, p) == best_value
             )
             total += 1
             dp_matches += top == brute

@@ -2,13 +2,19 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evintel import decide, pipeline
+import evintel
+from evintel import cluster, decide, ds, oracle, pipeline, posterior, tracks
 from evintel.cli import main
+from evintel.oracle import run_all_checks
 
 DECISION_DOC = {
     "frame": ["A", "B"],
@@ -90,6 +96,25 @@ class TestGen:
         assert main(["gen", "--seed", "1", "--targets", "2", "--reports-per-target", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["reports"]) == 4
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            # nan fails every comparison, so a check written as x <= 0 lets it through
+            ("--area", "nan", "must be positive"),
+            ("--vmax", "nan", "must be positive"),
+            ("--time-span", "nan", "must be positive"),
+            ("--area", "inf", "must be finite"),
+            ("--time-span", "inf", "must be finite"),
+        ],
+    )
+    def test_non_finite_kinematics_exit_2(self, capsys, flag, value, message):
+        assert main(["gen", flag, value]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_infinite_speed_limit_accepted(self, capsys):
+        assert main(["gen", "--vmax", "inf"]) == 0
+        assert "NaN" not in capsys.readouterr().out
 
 
 class TestStageCommands:
@@ -177,6 +202,25 @@ class TestExitCodes:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["pipeline", str(tmp_path / "none.json")]) == 2
+
+    def test_input_not_utf8_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"frame": ["Sjöberg"]}'.encode("latin-1"))
+        assert main(["pipeline", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text (")
+
+    def test_input_directory_exit_2(self, tmp_path, capsys):
+        assert main(["pipeline", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: cannot read (")
+
+    @pytest.mark.parametrize("command, flag", [("gen", "--out"), ("pipeline", "--out"), ("tracks", "--dot")])
+    def test_output_into_missing_directory_exit_2(self, scenario_file, tmp_path, capsys, command, flag):
+        missing = tmp_path / "missing"
+        argv = [command] if command == "gen" else [command, str(scenario_file)]
+        assert main(argv + [flag, str(missing / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {missing}{os.sep}out")  # --dot adds a block suffix
+        assert err.endswith(": cannot write (No such file or directory)\n")
 
     def test_bad_rho_exit_2(self, scenario_file):
         assert main(["pipeline", str(scenario_file), "--rho", "1.5"]) == 2
@@ -383,3 +427,42 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "ok" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_below_one_exit_2(self, capsys, trials):
+        # with no trial, most checks would report ok without checking anything
+        assert main(["oracle-check", "--trials", str(trials)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials must be >= 1" in captured.err
+        with pytest.raises(ds.ValidationError, match="trials must be >= 1"):
+            run_all_checks(trials=trials)
+
+
+# every reference route that lives in oracle.py, by the production module it left
+ORACLE_NAMES = {
+    tracks: ("combine_oracle", "TrackAnalysis", "OracleSizeError", "ORACLE_VERTEX_LIMIT", "_evidence_focals", "_bits_to_path"),
+    posterior: ("counting_bpa_enumeration", "counting_to_mass", "prior_to_mass", "counting_frame"),
+    ds: ("enumerate_conflict",),
+    cluster: ("enumerate_partitions",),
+}
+
+
+class TestOracleIsolation:
+    def test_pipeline_does_not_load_the_oracles(self, scenario_file):
+        code = (
+            "import sys\n"
+            "from evintel import cli\n"
+            f"assert cli.main(['pipeline', {str(scenario_file)!r}]) == 0\n"
+            "print('evintel.oracle' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(evintel.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "False"
+
+    def test_reference_routes_live_only_in_oracle(self):
+        names = [name for moved in ORACLE_NAMES.values() for name in moved]
+        for module in (evintel, *ORACLE_NAMES):
+            assert [name for name in names if hasattr(module, name)] == [], module.__name__
+        assert not hasattr(tracks.TrackGraph, "all_paths")
+        assert all(hasattr(oracle, name) for name in names + ["all_paths"])

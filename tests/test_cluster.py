@@ -12,7 +12,6 @@ from evintel.cluster import (
     SearchConfig,
     cluster_conflict,
     domain_conflict,
-    enumerate_partitions,
     exhaustive_search,
     make_partition,
     metaconflict,
@@ -23,6 +22,7 @@ from evintel.ds import Frame, TotalConflictError, ValidationError, make_mass, va
 from evintel.oracle import (
     descents_agree,
     descents_part_only_at_near_ties,
+    enumerate_partitions,
     enumerate_search,
     mixed_corpus,
     random_prior,

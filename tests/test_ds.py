@@ -15,13 +15,13 @@ from evintel.ds import (
     combine_all,
     combine_dempster,
     discount,
-    enumerate_conflict,
     make_mass,
     query_bel_pls,
     vacuous,
 )
 from evintel.ds import _dempster_conflict, _dempster_step  # noqa: PLC2701 - kernel vs reference
 from evintel.oracle import (
+    enumerate_conflict,
     kernel_agrees,
     random_mass,
     random_simple_support,

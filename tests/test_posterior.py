@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from evintel.cluster import DomainPrior, EvidenceCorpus, Report
 from evintel.ds import Frame, ValidationError, combine_dempster, make_mass, vacuous
+from evintel.oracle import counting_bpa_enumeration, counting_to_mass, prior_to_mass
 from evintel.posterior import (
     CountingBpa,
     counting_bpa,
-    counting_bpa_enumeration,
-    counting_to_mass,
     posterior_distribution,
-    prior_to_mass,
     subset_support,
 )
 

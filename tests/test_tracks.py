@@ -3,14 +3,12 @@ import random
 import pytest
 
 from evintel.ds import ValidationError
-from evintel.oracle import random_track_graph
+from evintel.oracle import OracleSizeError, all_paths, combine_oracle, random_track_graph
 from evintel.tracks import (
     DEFAULT_Q_CAP,
-    OracleSizeError,
     TrackGraph,
     TrackVertex,
     best_path_dp,
-    combine_oracle,
     dot_export,
     kinematic_edge_mass,
     kinematic_graph,
@@ -40,7 +38,7 @@ class TestConstruction:
             TrackGraph((0.1, 0.2), {(1, 2): 1.0})
 
     def test_all_paths(self):
-        assert TrackGraph((0.0, 0.0), {(1, 2): 0.0}).all_paths() == [(1,), (2,), (1, 2)]
+        assert all_paths(TrackGraph((0.0, 0.0), {(1, 2): 0.0})) == [(1,), (2,), (1, 2)]
 
 
 class TestKinematicEdgeMass:
@@ -96,7 +94,7 @@ class TestPathPlausibility:
 
     def test_no_doubt_graph(self):
         g = TrackGraph((0.0, 0.0, 0.0), {(1, 2): 0.0, (1, 3): 0.0, (2, 3): 0.0})
-        for path in g.all_paths():
+        for path in all_paths(g):
             unnorm, norm = path_plausibility(g, path)
             assert unnorm == 1.0
             assert norm == 1.0
@@ -133,7 +131,7 @@ class TestCombineOracle:
         g = TrackGraph((0.0, 0.0), {(1, 2): 0.0})
         analysis = combine_oracle(g)
         assert analysis.conflict == 0.0
-        for path in g.all_paths():
+        for path in all_paths(g):
             assert analysis.plausibility[path] == 1.0
             assert analysis.support[path] == 0.0
 
@@ -148,7 +146,7 @@ class TestCombineOracle:
             g = random_track_graph(rng.randint(2, 4), rng)
             analysis = combine_oracle(g)
             assert 0.0 <= analysis.conflict < 1.0
-            for path in g.all_paths():
+            for path in all_paths(g):
                 assert analysis.support[path] <= analysis.plausibility[path] + 1e-12
 
     def test_closed_form_matches_oracle(self):
@@ -156,7 +154,7 @@ class TestCombineOracle:
         for _ in range(30):
             g = random_track_graph(rng.randint(2, 5), rng)
             analysis = combine_oracle(g)
-            for path in g.all_paths():
+            for path in all_paths(g):
                 assert path_plausibility_unnorm(g, path) == pytest.approx(
                     analysis.plausibility_unnorm[path], abs=1e-9
                 )
@@ -174,7 +172,7 @@ class TestSweepDps:
                 conflict, norm = track_conflict(g)
                 assert abs(conflict - analysis.conflict) <= 1e-12
                 assert abs(norm - (1.0 - analysis.conflict)) <= 1e-12
-                for path in g.all_paths():
+                for path in all_paths(g):
                     assert abs(path_support(g, path, norm) - analysis.support[path]) <= 1e-12
                 graphs += 1
         assert graphs >= 200
@@ -215,7 +213,7 @@ class TestSweepDps:
         g = TrackGraph((0.999999,) * n, {(i, j): 0.999 for i in range(1, n + 1) for j in range(i + 1, n + 1)})
         analysis = combine_oracle(g)
         _, norm = track_conflict(g)
-        for path in g.all_paths():
+        for path in all_paths(g):
             assert abs(path_support(g, path, norm) - analysis.support[path]) <= 1e-12
             assert abs(path_plausibility_unnorm(g, path) / norm - analysis.plausibility[path]) <= 1e-12
         assert analysis.support[tuple(range(1, n + 1))] > 0.99
@@ -263,7 +261,7 @@ class TestBestPathDp:
             k = rng.randint(1, 4)
             got = best_path_dp(g, top_k=k)
             want = sorted(
-                ((p, path_plausibility_unnorm(g, p)) for p in g.all_paths()),
+                ((p, path_plausibility_unnorm(g, p)) for p in all_paths(g)),
                 key=lambda pv: (-pv[1], pv[0]),
             )[:k]
             assert [p for p, _ in got] == [p for p, _ in want]
@@ -275,8 +273,8 @@ class TestBestPathDp:
         for _ in range(10):
             g = random_track_graph(rng.randint(2, 5), rng)
             analysis = combine_oracle(g)
-            by_unnorm = sorted(g.all_paths(), key=lambda p: -analysis.plausibility_unnorm[p])
-            by_norm = sorted(g.all_paths(), key=lambda p: -analysis.plausibility[p])
+            by_unnorm = sorted(all_paths(g), key=lambda p: -analysis.plausibility_unnorm[p])
+            by_norm = sorted(all_paths(g), key=lambda p: -analysis.plausibility[p])
             assert by_unnorm == by_norm
 
     def test_large_graph_fast_path(self):
