@@ -3,7 +3,8 @@
 Targets get pairwise-disjoint characteristic focal sets over the frame, so
 reports about different targets conflict and reports about the same target do
 not. Report positions follow a bounded random walk that respects the speed
-limit; times are sorted uniform draws over the span. Everything is driven by
+limit (with no limit, each position is a fresh uniform draw over the box);
+times are sorted uniform draws over the span. Everything is driven by
 one seeded RNG, so a fixed config yields byte-identical output.
 """
 
@@ -57,7 +58,14 @@ def target_focals(cfg: ScenarioConfig) -> list[list[str]]:
 
 
 def generate_scenario_doc(cfg: ScenarioConfig) -> dict:
-    """The scenario as a JSON-ready document (frame, prior, reports)."""
+    """The scenario as a JSON-ready document (frame, prior, reports).
+
+    Each target starts uniformly in the area box and walks from report to
+    report with a uniform heading and a speed uniform up to ``v_max_kmh``,
+    clamped to the box. With an infinite ``v_max_kmh`` a target can be
+    anywhere by its next report, so each later position is drawn uniformly
+    in the box instead; an infinite step would be clamped onto a corner.
+    """
     rng = random.Random(cfg.seed)
     focals = target_focals(cfg)
     elements = [f"h{i + 1}" for i in range(cfg.frame_size)]
@@ -69,7 +77,10 @@ def generate_scenario_doc(cfg: ScenarioConfig) -> dict:
         y = rng.uniform(0.0, cfg.area_km)
         prev_t = times[0]
         for k, t_s in enumerate(times):
-            if k > 0:
+            if math.isinf(cfg.v_max_kmh) and k > 0:
+                x = rng.uniform(0.0, cfg.area_km)
+                y = rng.uniform(0.0, cfg.area_km)
+            elif k > 0:
                 dt_h = (t_s - prev_t) / 3600.0
                 heading = rng.uniform(0.0, 2.0 * math.pi)
                 step = rng.uniform(0.0, cfg.v_max_kmh) * dt_h

@@ -116,6 +116,13 @@ class TestGen:
         assert main(["gen", "--vmax", "inf"]) == 0
         assert "NaN" not in capsys.readouterr().out
 
+    def test_infinite_speed_limit_spreads_reports_over_the_box(self, capsys):
+        # an infinite step clamped to the box would put every later report on a corner
+        assert main(["gen", "--vmax", "inf", "--targets", "2", "--reports-per-target", "4"]) == 0
+        positions = [r["pos"] for r in json.loads(capsys.readouterr().out)["reports"]]
+        assert len(positions) == 8
+        assert all(0.0 < x < 50.0 and 0.0 < y < 50.0 for x, y in positions)
+
 
 class TestStageCommands:
     def test_cluster_sections(self, scenario_file, tmp_path, capsys):

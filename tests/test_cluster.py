@@ -316,11 +316,12 @@ class TestBranchAndBound:
         # same blocks and a bit-identical report, not only the same value: a
         # quarter of the reports are categorical (saturated blocks), a tenth
         # vacuous (exact value ties), priors have zero entries, and every other
-        # corpus caps the block count explicitly
+        # corpus caps the block count explicitly; at 9 reports the oracle scores
+        # up to 21,147 partitions a corpus, so that size gets fewer corpora
         rng = random.Random(61)
         corpora = 0
-        for n in range(1, 9):
-            for t in range(40):
+        for n in range(1, 10):
+            for t in range(40 if n < 9 else 20):
                 corpus = mixed_corpus(
                     rng, n, rng.randint(2, 4), categorical_share=0.25, vacuous_share=0.1
                 )
@@ -333,7 +334,59 @@ class TestBranchAndBound:
                 assert report.mcf == oracle_report.mcf
                 assert report == oracle_report
                 corpora += 1
-        assert corpora >= 300
+        assert corpora >= 340
+
+    def test_separable_optimum_beyond_the_first_leaf(self):
+        # the truth interleaves groups in corpus order, so label order's first
+        # leaf (every report in one block) is far from it. Best-first's first
+        # leaf joins each report to its least-conflicting block: the truth
+        # when the prior allows every group a block, but not always the
+        # optimum when it allows fewer, so there the search must go on past it.
+        def first_leaf(corpus, cap):
+            blocks: list[list[str]] = []
+            for rid in corpus.ids:
+                factors = []
+                for b in blocks:
+                    c = cluster_conflict(corpus, b)
+                    factors.append((1 - cluster_conflict(corpus, b + [rid])) / (1 - c) if c < 1 else 0.0)
+                if len(blocks) < cap:
+                    factors.append(1.0)
+                label = factors.index(max(factors))
+                if label == len(blocks):
+                    blocks.append([])
+                blocks[label].append(rid)
+            return tuple(map(tuple, blocks))
+
+        rng = random.Random(67)
+        past_first_leaf = 0
+        for _ in range(10):
+            corpus, truth = separable_corpus(rng, n_reports=8, n_groups=3)
+            for r_max in (2, 4):
+                prior = DomainPrior.uniform(r_max)
+                part, report = exhaustive_search(corpus, prior)
+                oracle_part, oracle_report = enumerate_search(corpus, prior)
+                assert part.blocks == oracle_part.blocks
+                assert report == oracle_report
+                if r_max == 4:
+                    assert sorted(map(sorted, part.blocks)) == sorted(map(sorted, truth))
+                    assert part.blocks == first_leaf(corpus, r_max)
+                else:
+                    past_first_leaf += part.blocks != first_leaf(corpus, r_max)
+        assert past_first_leaf > 0
+
+    @pytest.mark.parametrize("rung", [(3, 4), (4, 6), (5, 6), (6, 8), (8, 8), (10, 10)])
+    def test_recovers_the_truth_on_gen_ladder(self, rung):
+        # the descent stalls on a plateau from 5x6 up; the exact search does not
+        targets, per_target = rung
+        doc = generate_scenario_doc(
+            ScenarioConfig(seed=3, targets=targets, reports_per_target=per_target, frame_size=max(6, targets))
+        )
+        truth: dict[tuple[str, ...], list[str]] = {}
+        for r in doc["reports"]:  # a report's first focal set names its target
+            truth.setdefault(tuple(r["masses"][0]["set"]), []).append(r["id"])
+        corpus, prior = parse_document(doc)
+        part, _ = exhaustive_search(corpus, prior)
+        assert sorted(map(sorted, part.blocks)) == sorted(map(sorted, truth.values()))
 
     @pytest.mark.parametrize("n", [5, 16])
     def test_tie_goes_to_smallest_canonical_key(self, n):
