@@ -137,7 +137,9 @@ def _run_stage_command(args) -> int:
     corpus, prior = pl.parse_document(doc, where=where)
     if args.rmax is not None:
         prior = DomainPrior.uniform(args.rmax)
-    decision = pl.parse_decision(doc, where=where) if args.command == "pipeline" else None
+    decision = pl.parse_decision(doc, where=where)  # every stage command refuses a malformed section
+    if args.command != "pipeline":
+        decision = None  # only the pipeline analyses it
     result = pl.run_pipeline(corpus, prior, _config(args), decision=decision, stages=_STAGES[args.command])
     if getattr(args, "dot", None) is not None:
         _write_dot(result, args.dot)

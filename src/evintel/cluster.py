@@ -166,7 +166,7 @@ def make_partition(corpus: EvidenceCorpus, blocks: Iterable[Iterable[str]]) -> P
 def cluster_conflict(corpus: EvidenceCorpus, block: Iterable[str]) -> float:
     """Accumulated Dempster conflict of the block's evidence; 0 for <= 1 report."""
     indices = sorted(map(corpus.index_of, set(block)))
-    return _tail_conflict(corpus, None, indices) if indices else 0.0
+    return BlockState(corpus, indices).conflict() if indices else 0.0
 
 
 def domain_conflict(n: int, prior: DomainPrior) -> float:
@@ -214,18 +214,18 @@ class BlockState:
     more dicts than twice the block's members.
 
     ``store`` maps each set of members a state has had to its ``BlockValues``:
-    the canonical conflict, ``1 - survival`` of the whole prefix chain and so
-    ``cluster_conflict`` bit for bit, and the ``moved`` values found so far.
-    A state looks its members up when built and after each toggle, and
-    ``conflict()`` reads the entry. States given one store share its values;
-    a state given none keeps a store of its own. The conflict of the block
-    with report j added, or removed if j is a member, has two routes:
+    the canonical conflict and the ``moved`` values found so far. States
+    given one store share its values; a state given none keeps a store of
+    its own. A block's conflict has two routes:
 
-    - ``toggled(j)`` starts from the prefix before j's position and folds j
-      (if added) and then the tail, the last step conflict-only. That is the
-      fold ``cluster_conflict`` does, so the value is bit-identical. It is
-      not stored. ``specify`` prints these values.
-    - ``moved(j)`` takes at most one ``_fold_step``, since Dempster
+    - The canonical one is ``1 - survival`` of the whole prefix chain, the
+      one fold ``cluster_conflict`` runs. A state looks its members up when
+      built and after each toggle, folding the chain on a miss, and
+      ``conflict()`` reads the entry. ``toggled(j)`` toggles j, reads it and
+      toggles j back, so the block +/- j is stored under its own members.
+      ``specify`` prints these values.
+    - ``moved(j)``, the conflict of the block with report j added, or removed
+      if j is a member, takes at most one ``_fold_step``, since Dempster
       normalizers compose: an add is the whole prefix chain's state combined
       with j, conflict-only; a removal is the prefix before j combined with
       the suffix after it, their survivals multiplied, and the removal of the
@@ -289,10 +289,10 @@ class BlockState:
     def toggled(self, j: int) -> float:
         """``cluster_conflict`` of the block with report j added, or removed if
         it is a member; the block must keep at least one member."""
-        members = self.members
-        k = bisect_left(members, j)
-        tail = members[k + 1 :] if k < len(members) and members[k] == j else [j, *members[k:]]
-        return _tail_conflict(self.corpus, self._prefix(k) if k else None, tail)
+        self.toggle(j)
+        c = self.conflict()
+        self.toggle(j)
+        return c
 
     def moved(self, j: int) -> float:
         """Conflict of the block with report j added, or removed if it is a
@@ -358,20 +358,6 @@ def _fold_step(state: FoldState, items: tuple, last: bool = False) -> FoldState:
     if 1.0 - survival == 1.0:
         return None, 0.0
     return masses, survival
-
-
-def _tail_conflict(corpus: EvidenceCorpus, state: FoldState | None, tail: Sequence[int]) -> float:
-    """``1 - survival`` after folding reports ``tail`` onto ``state``, or onto
-    the first of them when state is None; the last step is conflict-only."""
-    if state is None:
-        state, tail = (corpus.reports[tail[0]].evidence.masses, 1.0), tail[1:]
-    items = corpus._items
-    last = len(tail) - 1
-    for n, i in enumerate(tail):
-        if state[0] is None:
-            break
-        state = _fold_step(state, items[i], n == last)
-    return 1.0 - state[1]
 
 
 def _descend(

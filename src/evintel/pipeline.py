@@ -132,6 +132,9 @@ def parse_document(doc: dict, where: str = "input") -> tuple[EvidenceCorpus, Dom
         probabilities = {int(k): _number(v, "'prior'") for k, v in doc["prior"].items()}
     except (TypeError, AttributeError, ValueError):
         raise ValidationError(f"{where}: 'prior' must map counts to probabilities") from None
+    for k in doc["prior"]:
+        if str(int(k)) != k:  # "01" would collide with "1", and "1_0" read as 10
+            raise ValidationError(f"{where}: 'prior': count {k!r} must be written in plain decimal digits")
     try:
         prior = DomainPrior(probabilities)
     except ValidationError as exc:

@@ -63,7 +63,10 @@ def _membership(
     """``membership_evidence`` over the partition's block states.
 
     A saturated block (conflict 1.0) gets against 1.0 without its +/- j
-    conflict: ``_ratio`` would divide by 1 - 1.0 = 0, or a nonzero x by itself.
+    conflict. ``_ratio`` gives the same value, since it maps a zero
+    denominator to 1.0 and x / x is 1.0, so the shortcut changes no value; it
+    only skips refolding saturated blocks with j toggled, which would make up
+    most of the time on corpora with saturated plateau blocks.
     """
     j = partition.corpus.index_of(report_id)
     own = partition.block_of(report_id)
@@ -104,10 +107,12 @@ def membership_evidence(partition: Partition, prior: DomainPrior, report_id: str
 def specify_corpus(partition: Partition, prior: DomainPrior) -> MembershipSpecification:
     """Membership plausibilities and per-report weights for every report and block.
 
-    Each block's state is built once, and every +/- j conflict is refolded
-    from the block's prefix chain at j's position (``BlockState.toggled``):
-    every value is ``cluster_conflict``'s, bit for bit, not the search's
-    one-step estimate. Nothing is kept once the call returns.
+    Each block's state is built once, and every +/- j conflict is the
+    canonical prefix chain's value for the block with j toggled
+    (``BlockState.toggled``), refolded from j's position on: every value is
+    ``cluster_conflict``'s, bit for bit, not the search's one-step estimate.
+    Each state's store holds these values for this call only; nothing is
+    kept once the call returns.
     """
     plausibility: dict[str, dict[BlockKey, float]] = {}
     weights: dict[str, dict[int, float]] = {}

@@ -270,6 +270,10 @@ class TestExitCodes:
             pytest.param(("frame", 1), ["B"], "'frame' elements must be strings", id="frame-list-element"),
             pytest.param(("frame",), [], "'frame': frame must be nonempty", id="frame-empty"),
             pytest.param(("prior", "1"), "0.5", "'prior' must map counts to probabilities", id="prior-string"),
+            pytest.param(("prior", "1_0"), 0.0, "'prior': count '1_0' must be written in plain decimal digits", id="prior-key-underscore"),
+            pytest.param(("prior", " 3 "), 0.0, "'prior': count ' 3 ' must be written in plain decimal digits", id="prior-key-spaces"),
+            pytest.param(("prior", "+3"), 0.0, "'prior': count '+3' must be written in plain decimal digits", id="prior-key-sign"),
+            pytest.param(("prior", "01"), 0.0, "'prior': count '01' must be written in plain decimal digits", id="prior-key-leading-zero"),
             pytest.param((), [1, 2], "the document must be a JSON object", id="document-list"),
             pytest.param(("decision",), [], "'decision' must be an object", id="decision-list"),
             pytest.param(MAKERS, {"id": "dm1"}, "decision 'makers' must be a list", id="makers-object"),
@@ -287,7 +291,8 @@ class TestExitCodes:
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, path, value, message):
         bad = write_json(tmp_path / "bad.json", edited(FUZZ_DOC, path, value))
-        commands = [["pipeline"]] + ([["decide"]] if not path or path[0] == "decision" else [])
+        commands = [["pipeline"], ["cluster"], ["specify"], ["posterior"], ["tracks"]]
+        commands += [["decide"]] if not path or path[0] == "decision" else []
         for command in commands:
             assert main(command + [str(bad)]) == 2, command
             err = capsys.readouterr().err

@@ -555,7 +555,9 @@ class TestIncrementalDescent:
 
     def test_moved_after_toggles_matches_a_fresh_state(self):
         # both chains are grown in full, then cut by a toggle and regrown on
-        # demand; every value must be the one a state built from scratch gives
+        # demand; every value must be the one a state built from scratch gives.
+        # toggled toggles a report and back, so it must leave the state as it
+        # found it, apart from the chains it cut
         rng = random.Random(107)
         for _ in range(40):
             n = rng.randint(2, 9)
@@ -565,6 +567,11 @@ class TestIncrementalDescent:
             for _ in range(12):
                 fresh = BlockState(corpus, list(state.members), {})
                 for j in range(n):
+                    k = rng.randrange(n)
+                    if state.members != [k]:
+                        state.toggled(k)
+                    assert state.members == fresh.members
+                    assert state.conflict() == fresh.conflict()
                     if state.members != [j]:
                         assert state.moved(j) == fresh.moved(j)
                 assert state.conflict() == fresh.conflict()
