@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Count the kernel calls of ``partition_search`` (20 restarts of steepest
+descent) per search: full fold steps, conflict-only fold steps and k-term
+products (calls of ``math.prod`` in ``cluster``, each over the survival
+factors of a partition's k blocks).
+
+Corpora (seed 3 by default): the ``evintel gen`` ladder one rung at a time, ten
+10-report corpora like the exhaustive-check benchmark's (five separable, five
+random-mass, uniform prior on 1..4), and twelve track-desk-style scenarios
+(fast targets in a wide box). The counts are deterministic. They are taken by
+wrapping the kernels in the ``cluster`` module's namespace from outside, so
+the package itself counts nothing.
+"""
+
+import argparse
+import collections
+import contextlib
+import math
+import random
+import types
+
+from evintel import cluster
+from evintel.cluster import DomainPrior, EvidenceCorpus, Report, SearchConfig, partition_search
+from evintel.ds import Frame
+from evintel.oracle import random_mass, separable_corpus
+from evintel.pipeline import parse_document
+from evintel.scenario import ScenarioConfig, generate_scenario_doc
+
+LADDER = [(3, 4), (4, 6), (5, 6), (6, 8), (8, 8), (10, 10)]
+TRACK_DESK_RUNGS = [(2, 6), (3, 6), (2, 10)]
+SET_STRIDE = 100_003  # seed step between sets, as in the benchmark
+
+
+@contextlib.contextmanager
+def counting():
+    """Count kernel calls in ``cluster`` while the block runs."""
+    counts = collections.Counter()
+    fold_step = cluster._fold_step
+
+    def counted_fold_step(state, items, last=False):
+        counts["conflict-only" if last else "full"] += 1
+        return fold_step(state, items, last)
+
+    def counted_prod(factors):
+        counts["products"] += 1
+        return math.prod(factors)
+
+    counted_math = types.SimpleNamespace(**vars(math))
+    counted_math.prod = counted_prod
+    saved = cluster._fold_step, cluster.math
+    cluster._fold_step, cluster.math = counted_fold_step, counted_math
+    try:
+        yield counts
+    finally:
+        cluster._fold_step, cluster.math = saved
+
+
+def count(corpora) -> list[float]:
+    """Mean full fold steps, conflict-only fold steps and k-term products per search."""
+    with counting() as counts:
+        for corpus, prior in corpora:
+            partition_search(corpus, prior, SearchConfig())
+    return [counts[key] / len(corpora) for key in ("full", "conflict-only", "products")]
+
+
+def scenario(seed: int, targets: int, per_target: int, **kw):
+    cfg = ScenarioConfig(seed=seed, targets=targets, reports_per_target=per_target, frame_size=max(6, targets), **kw)
+    return parse_document(generate_scenario_doc(cfg))
+
+
+def exhaustive_check_corpora(seed: int, sets: int = 5):
+    frame = Frame(("t1", "t2", "t3", "t4"))
+    prior = DomainPrior.uniform(4)
+    corpora = []
+    for k in range(sets):
+        set_seed = seed + k * SET_STRIDE
+        corpus, _ = separable_corpus(random.Random(f"separable:{set_seed}"), n_reports=10, n_groups=3)
+        corpora.append((corpus, prior))
+        rng = random.Random(f"mixed:{set_seed}")
+        reports = tuple(Report(f"e{i + 1:02d}", random_mass(frame, rng)) for i in range(10))
+        corpora.append((EvidenceCorpus(frame, reports), prior))
+    return corpora
+
+
+def track_desk_corpora(seed: int, sets: int = 4):
+    return [
+        scenario(seed + k * SET_STRIDE, t, p, v_max_kmh=10_000.0, area_km=20_000.0)
+        for k in range(sets)
+        for t, p in TRACK_DESK_RUNGS
+    ]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seed", type=int, default=3)
+    args = parser.parse_args()
+
+    rows = [(f"gen --seed {args.seed} {t}x{p}", [scenario(args.seed, t, p)]) for t, p in LADDER]
+    rows.append(("exhaustive-check, 10 corpora", exhaustive_check_corpora(args.seed)))
+    rows.append(("track-desk, 12 corpora", track_desk_corpora(args.seed)))
+    print(f"{'corpora':<30} {'full folds':>11} {'conflict-only':>14} {'k-term products':>16}   (per search)")
+    for label, corpora in rows:
+        full, last, products = count(corpora)
+        print(f"{label:<30} {full:>11.1f} {last:>14.1f} {products:>16.1f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -369,40 +369,42 @@ def _descend(
 ) -> tuple[list[list[str]], float]:
     """Steepest-descent single-report moves until no move improves mcf.
 
-    Each sweep takes, over reports in corpus order and targets in block order
-    with a fresh block last, the first move with the lowest candidate mcf
-    among those that improve on the current mcf by more than
-    ``IMPROVEMENT_TOL``; it stops when there is none. Blocks come back in
+    Each sweep takes, among the moves that improve on the current mcf by more
+    than ``IMPROVEMENT_TOL``, the one with the lowest candidate mcf, a tie
+    going to the earlier report in corpus order, then to the earlier target in
+    block order with a fresh block last: the first strictly best move of a
+    scan in that order. It stops when there is none. Blocks come back in
     block order, members in corpus order. Every block is a ``BlockState`` on
     ``store`` (``partition_search`` passes one dict to all its restarts), and
     a candidate's conflicts of block +/- j are ``BlockState.moved`` values:
-    one step from the block's prefix and suffix chains. The conflict list and
-    mcf of the current blocks are canonical: after each move the two blocks
-    it touched are re-scored by their whole prefix chains, and mcf from them,
-    so the mcf returned is bit for bit the one ``oracle.reference_descent``
-    gives for the same blocks. That oracle scores every move with canonical
-    conflicts and is the check. Moved values differ from those by rounding
-    and dust (see ``BlockState``), so where two candidates, or a candidate
-    and the threshold, are that close the descent may take the other branch:
-    on corpora with focal weights spread over 8 to 14 orders of magnitude,
-    14 of 8,000 descents parted from the reference, each at a sweep where the
-    two partitions' canonical mcf differed by at most 2.9e-13.
+    one step from the block's prefix and suffix chains. The survival factors
+    ``1 - c`` and mcf of the current blocks are canonical: after each move the
+    two blocks it touched are re-scored by their whole prefix chains, and mcf
+    from them, so the mcf returned is bit for bit the one
+    ``oracle.reference_descent`` gives for the same blocks. That oracle scores
+    every move with canonical conflicts and is the check. Moved values differ
+    from those by rounding and dust (see ``BlockState``), so where two
+    candidates, or a candidate and the threshold, are that close the descent
+    may take the other branch: on corpora with focal weights spread over 8 to
+    14 orders of magnitude, 14 of 8,000 descents parted from the reference,
+    each at a sweep where the two partitions' canonical mcf differed by at
+    most 2.9e-13.
 
-    One rule skips candidates that cannot be taken, without changing the move
-    sequence or any float. A report joining block t scores
-    ``c(t + j) >= c(t)``: the add is one step from the state of t's whole
-    prefix chain, whose ``1 - survival`` is t's entry in the conflict list,
+    A sweep visits reports best first, which changes neither the move taken
+    nor any float. Phase 1 goes through the reports in corpus order and
+    scores each one's move into a fresh block and its ``bound``: mcf with only
+    its origin changed, at the block count all of its moves into existing
+    blocks share. None of those moves scores below ``bound``. A report
+    joining block t scores ``c(t + j) >= c(t)``: the add is one step from the
+    state of t's whole prefix chain, whose ``1 - survival`` is t's conflict,
     and that step multiplies the survival by ``1 - c_step <= 1``, which
-    rounding cannot raise. As the float product is monotone in each factor
-    too, every move of j into an existing block scores at least ``bound``:
-    the current conflict list with only the origin replaced, at the block
-    count all those moves share. All of j's existing-block targets are
-    skipped when ``bound`` reaches the acceptance threshold
-    ``min(best, mcf - IMPROVEMENT_TOL)`` plus a slack of
-    ``IMPROVEMENT_TOL / 10``, which covers the rounding of
-    ``mcf - IMPROVEMENT_TOL`` and of the test ``mcf - cand``. This covers
-    saturated blocks as well: a conflict list that holds 1.0 scores exactly
-    1.0. The fresh block changes the block count and is always scored.
+    rounding cannot raise; and the float product and subtractions are
+    monotone in each factor. So a report whose bound does not improve on mcf
+    by more than ``IMPROVEMENT_TOL`` has no acceptable move into an existing
+    block, and is dropped. Phase 2 scores the moves into existing blocks of
+    the reports left, in order of (bound, report), and stops at the first
+    report whose bound is above the best candidate so far: none of its moves,
+    nor any later report's, can be taken.
     """
     n = len(corpus.reports)
     states = [BlockState(corpus, sorted(map(corpus.index_of, b)), store) for b in blocks]
@@ -410,64 +412,71 @@ def _descend(
     for b, state in enumerate(states):
         for i in state.members:
             where[i] = b
-    conflicts = [state.conflict() for state in states]
-    c0 = [1.0] + [domain_conflict(k, prior) for k in range(1, n + 1)]  # by block count
-    mcf = _mcf_value(c0[len(states)], conflicts)
-    slack = IMPROVEMENT_TOL / 10
+    survivals = [1.0 - state.conflict() for state in states]
+    weights = [0.0] + [1.0 - domain_conflict(k, prior) for k in range(1, n + 1)]  # by block count
+    mcf = 1.0 - weights[len(states)] * math.prod(survivals)
 
     for _ in range(max_sweeps):
         n_blocks = len(states)
         best_cand = math.inf
-        best_move: tuple[int, int] | None = None  # (report index, target block or -1 for fresh)
+        best_move: tuple[int, int] | None = None  # (report index, target block; n_blocks for a fresh one)
+        bounds = []  # (bound, report index, survivals with only its origin changed, origin dropped)
         for j in range(n):
             origin = where[j]
             if len(states[origin].members) > 1:
-                base = conflicts.copy()
-                base[origin] = states[origin].moved(j)
-                keep = 0  # candidates' conflict lists keep the origin's position
+                base = survivals.copy()
+                base[origin] = 1.0 - states[origin].moved(j)
+                dropped = 0  # candidates' survival lists keep the origin's position
             elif n_blocks > 1:
-                base = conflicts[:origin] + conflicts[origin + 1 :]
-                keep = 1  # the emptied origin drops out; later blocks shift down
+                base = survivals[:origin] + survivals[origin + 1 :]
+                dropped = 1  # the emptied origin drops out; later blocks shift down
             else:
                 continue  # a lone report in a lone block has no move
-            weight = c0[len(base)]
-            if _mcf_value(weight, base) < min(best_cand, mcf - IMPROVEMENT_TOL) + slack:
-                for t in range(n_blocks):
-                    if t == origin:
-                        continue
-                    pos = t - keep if t > origin else t
-                    held = base[pos]
-                    base[pos] = states[t].moved(j)
-                    cand = _mcf_value(weight, base)
-                    base[pos] = held
-                    if mcf - cand > IMPROVEMENT_TOL and cand < best_cand:
-                        best_cand = cand
-                        best_move = (j, t)
-            if not keep:
-                # a fresh block's conflict is 0.0, whose factor 1.0 leaves the product as it is
-                cand = _mcf_value(c0[len(base) + 1], base)
+            product = math.prod(base)
+            bound = 1.0 - weights[len(base)] * product
+            if mcf - bound > IMPROVEMENT_TOL:
+                bounds.append((bound, j, base, dropped))
+            if not dropped:
+                # a fresh block's survival factor is 1.0, which leaves the product as it is
+                cand = 1.0 - weights[len(base) + 1] * product
                 if mcf - cand > IMPROVEMENT_TOL and cand < best_cand:
                     best_cand = cand
-                    best_move = (j, -1)
+                    best_move = (j, n_blocks)
+        bounds.sort()  # report indices are distinct, so no two entries compare their lists
+        for bound, j, base, dropped in bounds:
+            if bound > best_cand:
+                break
+            origin = where[j]
+            weight = weights[len(base)]
+            for t in range(n_blocks):
+                if t == origin:
+                    continue
+                pos = t - dropped if t > origin else t
+                held = base[pos]
+                base[pos] = 1.0 - states[t].moved(j)
+                cand = 1.0 - weight * math.prod(base)
+                base[pos] = held
+                if mcf - cand > IMPROVEMENT_TOL and (cand < best_cand or cand == best_cand and (j, t) < best_move):
+                    best_cand = cand
+                    best_move = (j, t)
         if best_move is None:
             break
         j, target = best_move
         origin = where[j]
-        if target == -1:
-            where[j] = len(states)
+        where[j] = target
+        if target == n_blocks:
             states.append(BlockState(corpus, [j], store))
-            conflicts.append(0.0)
+            survivals.append(1.0)
         else:
-            where[j] = target
             states[target].toggle(j)
-            conflicts[target] = states[target].conflict()
+            survivals[target] = 1.0 - states[target].conflict()
         if len(states[origin].members) > 1:
             states[origin].toggle(j)
-            conflicts[origin] = states[origin].conflict()
+            survivals[origin] = 1.0 - states[origin].conflict()
         else:
-            del states[origin], conflicts[origin]
+            del states[origin], survivals[origin]
             where = [b - (b > origin) for b in where]
-        mcf = _mcf_value(c0[len(states)], conflicts)
+        mcf = 1.0 - weights[len(states)] * math.prod(survivals)
     ids = corpus.ids
     return [[ids[i] for i in state.members] for state in states], mcf
 
@@ -494,8 +503,8 @@ def partition_search(
     canonical conflict and one-step move values of each set of members met.
     A value depends on the block and the report alone, so no restart's result
     depends on the others. Restarts meet the same blocks often enough that
-    sharing saves a third of the fold steps on the track-desk and
-    exhaustive-check benchmark corpora, and an eighth on search-ladder. Each
+    sharing saves 36-37% of the fold steps on the track-desk and
+    exhaustive-check benchmark corpora, and 12% on search-ladder. Each
     restart's mcf is the canonical one of its final blocks, so the merge
     compares ``cluster_conflict`` values, and the report is built from the
     winner's stored conflicts in partition order, as ``metaconflict`` would
