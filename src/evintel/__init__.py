@@ -69,7 +69,6 @@ from .tracks import (
     dot_export,
     kinematic_edge_mass,
     kinematic_graph,
-    path_plausibility,
     path_support,
     track_conflict,
 )

@@ -150,9 +150,17 @@ class MetaConflictReport:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """How ``partition_search`` runs; a bad value is refused at construction."""
+
     restarts: int = 20
     seed: int = 0
     max_sweeps: int = 200
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValidationError("restarts must be >= 1")
+        if self.max_sweeps < 0:
+            raise ValidationError("max_sweeps must be >= 0")
 
 
 def make_partition(corpus: EvidenceCorpus, blocks: Iterable[Iterable[str]]) -> Partition:
@@ -508,12 +516,8 @@ def partition_search(
     restart's mcf is the canonical one of its final blocks, so the merge
     compares ``cluster_conflict`` values, and the report is built from the
     winner's stored conflicts in partition order, as ``metaconflict`` would
-    give it.
+    give it. ``config`` has checked its values when it was built.
     """
-    if config.restarts < 1:
-        raise ValidationError("restarts must be >= 1")
-    if config.max_sweeps < 0:
-        raise ValidationError("max_sweeps must be >= 0")
     store: dict[frozenset[int], BlockValues] = {}
     runs = []
     for i in range(config.restarts):

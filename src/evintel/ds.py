@@ -21,6 +21,15 @@ MASS_TOL = 1e-9
 PRUNE_EPS = 1e-12
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """The float sum taken left to right on every Python; from 3.12 on, the
+    built-in sum() of floats is compensated and can give other bits."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class ValidationError(ValueError):
     """A value violates a structural invariant (bad mass, bad frame, bad input)."""
 
@@ -45,10 +54,6 @@ class Frame:
         if len(set(self.elements)) != len(self.elements):
             raise ValidationError("frame elements must be unique")
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
-
-    @classmethod
-    def of(cls, elements: Iterable[str]) -> "Frame":
-        return cls(tuple(elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -85,14 +90,6 @@ class FocalSet:
     @property
     def members(self) -> tuple[str, ...]:
         return self.frame.members_of(self.bits)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.bits == 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.bits == self.frame.full_bits
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,6 +56,7 @@ from .ds import (
     _dempster_step,
     combine_all,
     combine_dempster,
+    left_sum,
     make_mass,
     vacuous,
 )
@@ -206,7 +207,7 @@ def random_mass(frame: Frame, rng: random.Random, max_focals: int = 3) -> MassFu
         if members:
             subsets.append(tuple(members))
     weights = [rng.random() for _ in subsets] + [0.25 + rng.random()]
-    total = sum(weights)
+    total = left_sum(weights)
     entries = [(s, w / total) for s, w in zip(subsets, weights)]
     entries.append((frame.elements, weights[-1] / total))
     return make_mass(frame, entries)
@@ -296,7 +297,7 @@ def random_prior(rng: random.Random, r_max: int, zero_share: float = 0.0) -> Dom
     weights = [0.0 if rng.random() < zero_share else rng.random() + 1e-3 for _ in range(r_max)]
     if not any(weights):
         weights[rng.randrange(r_max)] = 1.0
-    total = sum(weights)
+    total = left_sum(weights)
     return DomainPrior({r + 1: w / total for r, w in enumerate(weights)})
 
 
@@ -658,9 +659,8 @@ def check_posterior_combination(seed: int, trials: int) -> CheckResult:
         n = rng.randint(1, r_max)
         supports = [rng.random() for _ in range(n)]
         weights = [rng.random() + 1e-3 for _ in range(r_max)]
-        prior = DomainPrior(
-            {r + 1: w / sum(weights) for r, w in enumerate(weights)}
-        )
+        total = left_sum(weights)
+        prior = DomainPrior({r + 1: w / total for r, w in enumerate(weights)})
         cb = counting_bpa(supports)
         direct = posterior_distribution(cb, prior)
         combined, _ = combine_dempster(counting_to_mass(cb, r_max), prior_to_mass(prior))

@@ -38,20 +38,19 @@ class StageError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    seed: int = 0
-    restarts: int = 20
-    max_sweeps: int = 200
+class PipelineConfig(SearchConfig):
+    """The search settings of ``SearchConfig``, which the cluster stage
+    receives as they are, plus the settings of the later stages."""
+
     v_max_kmh: float = 25.0
     q_cap: float = tracks.DEFAULT_Q_CAP
     top_k: int = 3
     rho: float | None = None
 
     def __post_init__(self):
-        if self.restarts < 1 or self.top_k < 1:
-            raise ValidationError("restarts and top_k must be >= 1")
-        if self.max_sweeps < 0:
-            raise ValidationError("max_sweeps must be >= 0")
+        super().__post_init__()
+        if self.top_k < 1:
+            raise ValidationError("top_k must be >= 1")
         if not self.v_max_kmh > 0:  # also refuses nan
             raise ValidationError("v_max must be positive")
         if not 0.0 <= self.q_cap < 1.0:
@@ -67,7 +66,7 @@ class TrackResult:
     excluded: tuple[str, ...]
     graph: tracks.TrackGraph | None
     best_paths: tuple[tuple[tracks.Path, float], ...]
-    conflict: float | None  # None past tracks.NORM_VERTEX_LIMIT
+    conflict: float | None  # None where tracks.normalize refuses the graph
     normalized: tuple[tuple[float, float] | None, ...]  # (plausibility, support) per best path
 
 
@@ -254,12 +253,7 @@ def _track_block(
     p = tuple(min(1.0 - r.evidence.theta_mass, P_CAP) for r in usable)
     graph = tracks.kinematic_graph(vertices, p, cfg.v_max_kmh, cfg.q_cap)
     best = tuple(tracks.best_path_dp(graph, cfg.top_k))
-    conflict, normalized = None, (None,) * len(best)
-    if graph.n <= tracks.NORM_VERTEX_LIMIT:
-        conflict, norm = tracks.track_conflict(graph)
-        normalized = tuple(
-            (unnorm / norm, tracks.path_support(graph, path, norm)) for path, unnorm in best
-        )
+    conflict, normalized = tracks.normalize(graph, [path for path, _ in best])
     return TrackResult(
         block_index, tuple(r.id for r in usable), excluded, graph, best, conflict, normalized
     )
@@ -285,8 +279,7 @@ def run_pipeline(
     """cluster -> specify -> posterior -> per-cluster tracks -> optional decision."""
     warnings: list[str] = []
     try:
-        search_cfg = SearchConfig(cfg.restarts, cfg.seed, cfg.max_sweeps)
-        partition, mcr = partition_search(corpus, prior, search_cfg)
+        partition, mcr = partition_search(corpus, prior, cfg)
     except Exception as exc:
         raise StageError("cluster", exc) from exc
     membership = None

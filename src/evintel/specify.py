@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cluster import BlockState, DomainPrior, EvidenceCorpus, Partition, domain_conflict
-from .ds import MassFunction, ValidationError, discount
+from .ds import MassFunction, ValidationError, discount, left_sum
 
 NEW_BLOCK = "new"
 
@@ -122,7 +122,7 @@ def specify_corpus(partition: Partition, prior: DomainPrior) -> MembershipSpecif
         ev = _membership(partition, prior, states, report.id)
         pl = {key: 1.0 - ev.total_against(key) for key in block_keys}
         plausibility[report.id] = pl
-        block_total = sum(pl[k] for k in range(partition.n_blocks))
+        block_total = left_sum(pl[k] for k in range(partition.n_blocks))
         if block_total > 0.0:
             weights[report.id] = {k: pl[k] / block_total for k in range(partition.n_blocks)}
         else:

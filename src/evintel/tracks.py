@@ -130,18 +130,6 @@ def path_plausibility_unnorm(g: TrackGraph, path: Sequence[int]) -> float:
     return value * math.prod(1.0 - g.q[i, j] for i, j in zip(path, path[1:]))
 
 
-def path_plausibility(g: TrackGraph, path: Sequence[int]) -> tuple[float, float | None]:
-    """(unnormalized, normalized) plausibility of one completely specified track.
-
-    Normalization divides by the normalizer 1 - conflict of ``track_conflict``;
-    past ``NORM_VERTEX_LIMIT`` vertices it is reported as None.
-    """
-    unnorm = path_plausibility_unnorm(g, path)
-    if g.n > NORM_VERTEX_LIMIT:
-        return unnorm, None
-    return unnorm, unnorm / track_conflict(g)[1]
-
-
 def _add(states: dict, key, weight: float) -> None:
     if weight:
         states[key] = states.get(key, 0.0) + weight
@@ -245,6 +233,21 @@ def path_support(g: TrackGraph, path: Sequence[int], norm: float | None = None) 
     return path_plausibility_unnorm(g, path) * alone / norm
 
 
+def normalize(
+    g: TrackGraph, paths: Sequence[Sequence[int]]
+) -> tuple[float | None, tuple[tuple[float, float] | None, ...]]:
+    """(conflict, (normalized plausibility, support) per path): the one place that
+    decides which graphs are normalized. One ``track_conflict`` sweep gives the
+    normalizer every path shares; past ``NORM_VERTEX_LIMIT`` vertices nothing is swept
+    and every value is None."""
+    if g.n > NORM_VERTEX_LIMIT:
+        return None, (None,) * len(paths)
+    conflict, norm = track_conflict(g)
+    return conflict, tuple(
+        (path_plausibility_unnorm(g, path) / norm, path_support(g, path, norm)) for path in paths
+    )
+
+
 def best_path_dp(g: TrackGraph, top_k: int = 1) -> list[tuple[Path, float]]:
     """Top-k tracks by unnormalized plausibility via longest-path DP, O(n^2 k).
 
@@ -266,7 +269,7 @@ def best_path_dp(g: TrackGraph, top_k: int = 1) -> list[tuple[Path, float]]:
         ranked[j] = candidates[:top_k]
     pool = [sp for lst in ranked.values() for sp in lst]
     pool.sort(key=lambda sp: (-sp[0], sp[1]))
-    # report exact products, not exp(score), so values match path_plausibility bit-for-bit
+    # report exact products, not exp(score): the same bits as path_plausibility_unnorm
     return [(path, path_plausibility_unnorm(g, path)) for _, path in pool[:top_k]]
 
 

@@ -268,10 +268,11 @@ class TestPartitionSearch:
 
     def test_invalid_config(self, pair_corpus):
         prior = DomainPrior.uniform(2)
-        with pytest.raises(ValidationError, match="restarts"):
-            partition_search(pair_corpus, prior, SearchConfig(restarts=0))
-        with pytest.raises(ValidationError, match="max_sweeps"):
-            partition_search(pair_corpus, prior, SearchConfig(max_sweeps=-1))
+        # refused when built, before any search could take them
+        with pytest.raises(ValidationError, match="restarts must be >= 1"):
+            SearchConfig(restarts=0)
+        with pytest.raises(ValidationError, match="max_sweeps must be >= 0"):
+            SearchConfig(max_sweeps=-1)
         part, report = partition_search(pair_corpus, prior, SearchConfig(max_sweeps=0))  # the best start
         assert report == metaconflict(part, prior)
 

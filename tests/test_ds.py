@@ -15,6 +15,7 @@ from evintel.ds import (
     combine_all,
     combine_dempster,
     discount,
+    left_sum,
     make_mass,
     query_bel_pls,
     vacuous,
@@ -35,6 +36,12 @@ ABC = Frame(("A", "B", "C"))
 
 def m_of(frame, *entries):
     return make_mass(frame, list(entries))
+
+
+def test_left_sum_rounds_each_step():
+    # what sum() gives up to Python 3.11; from 3.12 on it compensates and returns 2.0
+    assert left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert left_sum([0.1] * 10) == 0.9999999999999999
 
 
 class TestFrame:

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from evintel.cluster import DomainPrior, EvidenceCorpus, Report, exhaustive_search
+from evintel.cluster import DomainPrior, EvidenceCorpus, Report, SearchConfig, exhaustive_search
 from evintel.ds import Frame, ValidationError, make_mass
 from evintel.pipeline import (
     PipelineConfig,
@@ -118,6 +119,26 @@ class TestParseDecision:
         decision = {"utilities": {"x": 1.0}, "makers": []}
         with pytest.raises(ValidationError, match="no decision makers"):
             parse_decision(doc_with([report_raw("r1", GOOD_MASSES)], decision=decision))
+
+
+class TestPipelineConfig:
+    def test_search_settings_are_a_search_config(self):
+        cfg = PipelineConfig(seed=4, restarts=7, max_sweeps=9)
+        assert isinstance(cfg, SearchConfig)
+        assert (cfg.seed, cfg.restarts, cfg.max_sweeps) == (4, 7, 9)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"restarts": 0}, "restarts must be >= 1"),
+            ({"max_sweeps": -1}, "max_sweeps must be >= 0"),
+            ({"top_k": 0}, "top_k must be >= 1"),
+            ({"q_cap": 1.0}, "q_cap must lie"),
+        ],
+    )
+    def test_bad_values_refused(self, kw, message):
+        with pytest.raises(ValidationError, match=message):
+            PipelineConfig(**kw)
 
 
 class TestRunPipeline:
@@ -257,3 +278,52 @@ class TestOutputs:
             assert token in text
         # plausibilities carry 6 decimals
         assert ".000000" in text or "0.0" not in text
+
+
+PINNED_DECISION_DOC = doc_with(
+    [
+        report_raw("r1", GOOD_MASSES, time=0.0, pos=[0.0, 0.0]),
+        report_raw("r2", [{"set": ["A"], "mass": 0.3}, {"set": ["A", "B"], "mass": 0.7}], time=1800.0, pos=[30.0, 1.0]),
+        report_raw("r3", [{"set": ["B"], "mass": 0.7}, {"set": ["A", "B"], "mass": 0.3}], time=900.0, pos=[40.0, 2.0]),
+        report_raw("r4", [{"set": ["B"], "mass": 0.4}, {"set": ["A", "B"], "mass": 0.6}], time=3600.0, pos=[38.0, 9.0]),
+        report_raw("r5", [{"set": ["A", "B"], "mass": 1.0}], time=2700.0, pos=[12.0, 3.0]),
+    ],
+    prior={"1": 0.2, "2": 0.5, "3": 0.3},
+    decision={
+        "utilities": {"win": 1.0, "draw": 0.4, "lose": 0.0},
+        "makers": [
+            {
+                "id": "blue",
+                "choices": [
+                    {"id": "hold", "masses": [{"set": ["draw"], "mass": 0.6}, {"set": ["win", "lose"], "mass": 0.4}]},
+                    {"id": "probe", "masses": [{"set": ["win"], "mass": 0.3}, {"set": ["win", "draw", "lose"], "mass": 0.7}]},
+                ],
+            },
+            {
+                "id": "red",
+                "choices": [
+                    {"id": "screen", "masses": [{"set": ["lose"], "mass": 0.2}, {"set": ["draw", "win"], "mass": 0.8}]},
+                    {"id": "sprint", "masses": [{"set": ["win"], "mass": 0.5}, {"set": ["lose"], "mass": 0.5}]},
+                ],
+            },
+        ],
+    },
+)
+
+
+def test_pipeline_outputs_are_pinned():
+    # the JSON and the tables of whole pipeline runs, byte for byte: the gen
+    # --seed 3 ladder rungs 3x4, 4x6, 5x6 and 6x8 at the CLI defaults, and one
+    # hand-written corpus with a decision section played at rho 0.5. Only a
+    # change that means to alter a result may re-pin this digest
+    digest = hashlib.sha256()
+    for targets, per_target in ((3, 4), (4, 6), (5, 6), (6, 8)):
+        doc = generate_scenario_doc(ScenarioConfig(seed=3, targets=targets, reports_per_target=per_target))
+        result = run_pipeline(*parse_document(doc))
+        digest.update(render_json(result_to_json(result)).encode())
+        digest.update(format_result(result).encode())
+    corpus, prior = parse_document(PINNED_DECISION_DOC)
+    result = run_pipeline(corpus, prior, PipelineConfig(rho=0.5), decision=parse_decision(PINNED_DECISION_DOC))
+    digest.update(render_json(result_to_json(result)).encode())
+    digest.update(format_result(result).encode())
+    assert digest.hexdigest() == "1f5413140f6effca975218b76aede632a5bcb129851e65610e4fd71559fc7437"

@@ -13,7 +13,7 @@ from evintel.tracks import (
     kinematic_edge_mass,
     kinematic_graph,
     NORM_VERTEX_LIMIT,
-    path_plausibility,
+    normalize,
     path_plausibility_unnorm,
     path_support,
     track_conflict,
@@ -85,37 +85,41 @@ class TestKinematicEdgeMass:
 
 class TestPathPlausibility:
     def test_full_path(self):
-        unnorm, _ = path_plausibility(graph3(), (1, 2, 3))
-        assert unnorm == pytest.approx(0.72, abs=1e-12)
+        assert path_plausibility_unnorm(graph3(), (1, 2, 3)) == pytest.approx(0.72, abs=1e-12)
 
     def test_skip_path(self):
-        unnorm, _ = path_plausibility(graph3(), (1, 3))
-        assert unnorm == pytest.approx(0.05, abs=1e-12)
+        assert path_plausibility_unnorm(graph3(), (1, 3)) == pytest.approx(0.05, abs=1e-12)
 
     def test_no_doubt_graph(self):
         g = TrackGraph((0.0, 0.0, 0.0), {(1, 2): 0.0, (1, 3): 0.0, (2, 3): 0.0})
-        for path in all_paths(g):
-            unnorm, norm = path_plausibility(g, path)
-            assert unnorm == 1.0
+        paths = all_paths(g)
+        conflict, values = normalize(g, paths)
+        assert conflict == 0.0
+        for path, (norm, _) in zip(paths, values):
+            assert path_plausibility_unnorm(g, path) == 1.0
             assert norm == 1.0
 
     def test_invalid_paths(self):
         g = graph3()
         for bad in ((), (3, 1), (1, 1), (0,), (4,)):
             with pytest.raises(ValidationError):
-                path_plausibility(g, bad)
+                path_plausibility_unnorm(g, bad)
+            with pytest.raises(ValidationError):
+                normalize(g, [(1, 2), bad])
 
     def test_normalization_past_oracle_limit(self):
         g = random_track_graph(7, random.Random(0))
-        unnorm, norm = path_plausibility(g, (1, 2))
-        assert norm == pytest.approx(unnorm / (1.0 - track_conflict(g)[0]), rel=1e-9)
+        unnorm = path_plausibility_unnorm(g, (1, 2))
+        conflict, ((norm, support),) = normalize(g, [(1, 2)])
+        assert conflict == track_conflict(g)[0]
+        assert norm == pytest.approx(unnorm / (1.0 - conflict), rel=1e-9)
+        assert support == path_support(g, (1, 2))
         assert 0.0 < unnorm < norm <= 1.0
 
     def test_normalization_unavailable_beyond_dp_limit(self):
         g = random_track_graph(NORM_VERTEX_LIMIT + 1, random.Random(0))
-        unnorm, norm = path_plausibility(g, (1, 2))
-        assert unnorm > 0.0
-        assert norm is None
+        assert path_plausibility_unnorm(g, (1, 2)) > 0.0
+        assert normalize(g, [(1, 2), (2, 3)]) == (None, (None, None))
 
 
 class TestCombineOracle:
