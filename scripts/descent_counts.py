@@ -2,7 +2,13 @@
 """Count the kernel calls of ``partition_search`` (20 restarts of steepest
 descent) per search: full fold steps, conflict-only fold steps and k-term
 products (calls of ``math.prod`` in ``cluster``, each over the survival
-factors of a partition's k blocks).
+factors of a partition's k blocks). Then count the fold steps and the
+branch-and-bound nodes of ``exhaustive_search`` on the same corpora.
+
+Every visit of ``_branch_and_bound`` calls ``math.prod`` exactly once: an
+inner node for its bound, a leaf through ``_mcf_value``. ``_report`` calls it
+once more for the winner. So the nodes of one ``exhaustive_search`` are its
+``math.prod`` calls minus one.
 
 Corpora (seed 3 by default): the ``evintel gen`` ladder one rung at a time, ten
 10-report corpora like the exhaustive-check benchmark's (five separable, five
@@ -20,7 +26,7 @@ import random
 import types
 
 from evintel import cluster
-from evintel.cluster import DomainPrior, EvidenceCorpus, Report, SearchConfig, partition_search
+from evintel.cluster import DomainPrior, EvidenceCorpus, Report, exhaustive_search, partition_search
 from evintel.ds import Frame
 from evintel.oracle import random_mass, separable_corpus
 from evintel.pipeline import parse_document
@@ -55,11 +61,11 @@ def counting():
         cluster._fold_step, cluster.math = saved
 
 
-def count(corpora) -> list[float]:
-    """Mean full fold steps, conflict-only fold steps and k-term products per search."""
+def count(search, corpora) -> list[float]:
+    """Mean full fold steps, conflict-only fold steps and ``math.prod`` calls per search."""
     with counting() as counts:
         for corpus, prior in corpora:
-            partition_search(corpus, prior, SearchConfig())
+            search(corpus, prior)
     return [counts[key] / len(corpora) for key in ("full", "conflict-only", "products")]
 
 
@@ -98,10 +104,18 @@ def main() -> None:
     rows = [(f"gen --seed {args.seed} {t}x{p}", [scenario(args.seed, t, p)]) for t, p in LADDER]
     rows.append(("exhaustive-check, 10 corpora", exhaustive_check_corpora(args.seed)))
     rows.append(("track-desk, 12 corpora", track_desk_corpora(args.seed)))
-    print(f"{'corpora':<30} {'full folds':>11} {'conflict-only':>14} {'k-term products':>16}   (per search)")
+    print(f"{'':<30} {'partition_search':^43}   {'exhaustive_search':^36}".rstrip())
+    print(
+        f"{'corpora':<30} {'full folds':>11} {'conflict-only':>14} {'k-term products':>16}"
+        f"   {'full folds':>11} {'conflict-only':>14} {'nodes':>9}   (per search)"
+    )
     for label, corpora in rows:
-        full, last, products = count(corpora)
-        print(f"{label:<30} {full:>11.1f} {last:>14.1f} {products:>16.1f}")
+        full, last, products = count(partition_search, corpora)
+        exact_full, exact_last, calls = count(exhaustive_search, corpora)
+        print(
+            f"{label:<30} {full:>11.1f} {last:>14.1f} {products:>16.1f}"
+            f"   {exact_full:>11.1f} {exact_last:>14.1f} {calls - 1:>9.1f}"
+        )
 
 
 if __name__ == "__main__":

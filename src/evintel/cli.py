@@ -4,12 +4,18 @@ Subcommands: gen, cluster, specify, posterior, tracks, decide, pipeline,
 oracle-check. Results print as aligned tables on stdout; --out writes the
 machine-readable JSON document. Exit codes: 0 success, 2 validation error,
 3 stage failure.
+
+Each flag that sets a setting names a field of SearchConfig, PipelineConfig
+or ScenarioConfig, where its default and its checks live; a flag left out
+takes that default.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from argparse import SUPPRESS
+from dataclasses import fields
 from pathlib import Path
 
 from . import pipeline as pl
@@ -26,16 +32,16 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_search_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--max-sweeps", type=int, default=200)
+    p.add_argument("--seed", type=int, default=SUPPRESS)
+    p.add_argument("--restarts", type=int, default=SUPPRESS)
+    p.add_argument("--max-sweeps", type=int, default=SUPPRESS)
     p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; restarts run serially")
 
 
 def _add_track_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vmax", type=float, default=25.0, help="speed limit in km/h")
-    p.add_argument("--q-cap", type=float, default=tracks.DEFAULT_Q_CAP)
-    p.add_argument("--top-k", type=int, default=3)
+    p.add_argument("--vmax", type=float, dest="v_max_kmh", metavar="VMAX", default=SUPPRESS, help="speed limit in km/h")
+    p.add_argument("--q-cap", type=float, default=SUPPRESS)
+    p.add_argument("--top-k", type=int, default=SUPPRESS)
     p.add_argument("--dot", type=Path, default=None, help="write Graphviz DOT export(s) here")
 
 
@@ -44,15 +50,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic scenario file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--targets", type=int, default=3)
-    p.add_argument("--reports-per-target", type=int, default=4)
-    p.add_argument("--frame-size", type=int, default=6)
-    p.add_argument("--contradiction", type=float, default=0.3)
-    p.add_argument("--area", type=float, default=50.0, help="side of the area box in km")
-    p.add_argument("--vmax", type=float, default=25.0)
-    p.add_argument("--time-span", type=float, default=7200.0, help="seconds")
-    p.add_argument("--rmax", type=int, default=None)
+    p.add_argument("--seed", type=int, default=SUPPRESS)
+    p.add_argument("--targets", type=int, default=SUPPRESS)
+    p.add_argument("--reports-per-target", type=int, default=SUPPRESS)
+    p.add_argument("--frame-size", type=int, default=SUPPRESS)
+    p.add_argument("--contradiction", type=float, default=SUPPRESS)
+    p.add_argument("--area", type=float, dest="area_km", metavar="AREA", default=SUPPRESS, help="side of the area box in km")
+    p.add_argument("--vmax", type=float, dest="v_max_kmh", metavar="VMAX", default=SUPPRESS)
+    p.add_argument("--time-span", type=float, dest="time_span_s", metavar="TIME_SPAN", default=SUPPRESS, help="seconds")
+    p.add_argument("--rmax", type=int, dest="r_max", metavar="RMAX", default=SUPPRESS)
     p.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
 
     for name, help_text in [
@@ -68,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("tracks", "pipeline"):
             _add_track_args(p)
         if name == "pipeline":
-            p.add_argument("--rho", type=float, default=None)
+            p.add_argument("--rho", type=float, default=SUPPRESS)
 
     p = sub.add_parser("decide", help="rho-interval decision analysis of the input's decision section")
     p.add_argument("input")
@@ -81,18 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> pl.PipelineConfig:
-    if args.threads < 1:  # unused, but still refused so that a bad value keeps exiting 2
-        raise ValidationError("threads must be >= 1")
-    return pl.PipelineConfig(
-        seed=args.seed,
-        restarts=args.restarts,
-        max_sweeps=args.max_sweeps,
-        v_max_kmh=getattr(args, "vmax", 25.0),
-        q_cap=getattr(args, "q_cap", tracks.DEFAULT_Q_CAP),
-        top_k=getattr(args, "top_k", 3),
-        rho=getattr(args, "rho", None),
-    )
+def _config(cls, args):
+    """``cls`` built from the flags given that name its fields; a flag left out takes the field's default."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{name: value for name, value in vars(args).items() if name in names})
 
 
 def _write(path: Path, text: str) -> None:
@@ -140,7 +138,10 @@ def _run_stage_command(args) -> int:
     decision = pl.parse_decision(doc, where=where)  # every stage command refuses a malformed section
     if args.command != "pipeline":
         decision = None  # only the pipeline analyses it
-    result = pl.run_pipeline(corpus, prior, _config(args), decision=decision, stages=_STAGES[args.command])
+    if args.threads < 1:  # unused, but still refused so that a bad value keeps exiting 2
+        raise ValidationError("threads must be >= 1")
+    cfg = _config(pl.PipelineConfig, args)
+    result = pl.run_pipeline(corpus, prior, cfg, decision=decision, stages=_STAGES[args.command])
     if getattr(args, "dot", None) is not None:
         _write_dot(result, args.dot)
     _emit(pl.result_to_json(result), pl.format_result(result), args.out)
@@ -158,18 +159,7 @@ def _run_decide(args) -> int:
 
 
 def _run_gen(args) -> int:
-    cfg = ScenarioConfig(
-        seed=args.seed,
-        targets=args.targets,
-        reports_per_target=args.reports_per_target,
-        frame_size=args.frame_size,
-        contradiction=args.contradiction,
-        area_km=args.area,
-        v_max_kmh=args.vmax,
-        time_span_s=args.time_span,
-        r_max=args.rmax,
-    )
-    content = generate_scenario(cfg)
+    content = generate_scenario(_config(ScenarioConfig, args))
     if args.out is not None:
         _write(args.out, content)
     else:

@@ -269,6 +269,25 @@ def analyze_decision(
     return DecisionResult(intervals, segmentation, assignment)
 
 
+def _stage(name: str, fn, *args):
+    """``fn(*args)``, with any failure raised as the ``StageError`` of stage ``name``."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
+def _posterior(
+    corpus: EvidenceCorpus, partition: Partition, prior: DomainPrior
+) -> posterior.PosteriorDistribution:
+    supports = [posterior.subset_support(corpus, b) for b in partition.blocks]
+    return posterior.posterior_distribution(posterior.counting_bpa(supports), prior)
+
+
+def _track_blocks(corpus: EvidenceCorpus, partition: Partition, cfg: PipelineConfig) -> tuple[TrackResult, ...]:
+    return tuple(_track_block(corpus, i, b, cfg) for i, b in enumerate(partition.blocks))
+
+
 def run_pipeline(
     corpus: EvidenceCorpus,
     prior: DomainPrior,
@@ -277,42 +296,17 @@ def run_pipeline(
     stages: frozenset[str] = ALL_STAGES,
 ) -> PipelineResult:
     """cluster -> specify -> posterior -> per-cluster tracks -> optional decision."""
-    warnings: list[str] = []
-    try:
-        partition, mcr = partition_search(corpus, prior, cfg)
-    except Exception as exc:
-        raise StageError("cluster", exc) from exc
-    membership = None
-    if "specify" in stages:
-        try:
-            membership = specify.specify_corpus(partition, prior)
-        except Exception as exc:
-            raise StageError("specify", exc) from exc
-    post = None
-    if "posterior" in stages:
-        try:
-            supports = [posterior.subset_support(corpus, b) for b in partition.blocks]
-            post = posterior.posterior_distribution(posterior.counting_bpa(supports), prior)
-        except Exception as exc:
-            raise StageError("posterior", exc) from exc
-    track_results = None
-    if "tracks" in stages:
-        try:
-            track_results = tuple(
-                _track_block(corpus, i, b, cfg) for i, b in enumerate(partition.blocks)
-            )
-            for tr in track_results:
-                for rid in tr.excluded:
-                    warnings.append(f"block {tr.block}: report {rid!r} lacks time/pos, not tracked")
-        except Exception as exc:
-            raise StageError("tracks", exc) from exc
-    decision_result = None
-    if decision is not None:
-        try:
-            decision_result = analyze_decision(decision[1], cfg.rho)
-        except Exception as exc:
-            raise StageError("decide", exc) from exc
-    return PipelineResult(partition, mcr, membership, post, track_results, decision_result, tuple(warnings))
+    partition, mcr = _stage("cluster", partition_search, corpus, prior, cfg)
+    membership = _stage("specify", specify.specify_corpus, partition, prior) if "specify" in stages else None
+    post = _stage("posterior", _posterior, corpus, partition, prior) if "posterior" in stages else None
+    track_results = _stage("tracks", _track_blocks, corpus, partition, cfg) if "tracks" in stages else None
+    decision_result = _stage("decide", analyze_decision, decision[1], cfg.rho) if decision is not None else None
+    warnings = tuple(
+        f"block {tr.block}: report {rid!r} lacks time/pos, not tracked"
+        for tr in track_results or ()
+        for rid in tr.excluded
+    )
+    return PipelineResult(partition, mcr, membership, post, track_results, decision_result, warnings)
 
 
 def _membership_json(membership: specify.MembershipSpecification) -> dict:

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -13,8 +15,9 @@ from hypothesis import strategies as st
 
 import evintel
 from evintel import cluster, decide, ds, oracle, pipeline, posterior, tracks
-from evintel.cli import main
+from evintel.cli import build_parser, main
 from evintel.oracle import run_all_checks
+from evintel.scenario import ScenarioConfig, generate_scenario
 
 DECISION_DOC = {
     "frame": ["A", "B"],
@@ -169,6 +172,32 @@ class TestStageCommands:
         out = tmp_path / "out.json"
         assert main(["posterior", str(scenario_file), "--rmax", "5", "--out", str(out)]) == 0
         assert sorted(json.loads(out.read_text())["posterior"]) == ["1", "2", "3", "4", "5"]
+
+
+STAGE_COMMANDS = ("cluster", "specify", "posterior", "tracks", "pipeline")
+NON_CONFIG_DESTS = {"command", "input", "out", "rmax", "threads", "dot"}
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("command", ("gen",) + STAGE_COMMANDS)
+    def test_every_flag_is_a_config_field_or_a_known_option(self, command):
+        # _config passes on only the parsed names that are fields, so any other name is dropped silently
+        cls = ScenarioConfig if command == "gen" else pipeline.PipelineConfig
+        (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        dests = {a.dest for a in commands.choices[command]._actions if a.dest != "help"}
+        stray = dests - {f.name for f in dataclasses.fields(cls)} - NON_CONFIG_DESTS
+        assert not stray
+
+    def test_no_flags_take_the_config_defaults(self, tmp_path, capsys):
+        assert main(["gen"]) == 0
+        text = capsys.readouterr().out
+        assert text == generate_scenario(ScenarioConfig())
+        path, out = tmp_path / "corpus.json", tmp_path / "out.json"
+        path.write_text(text)
+        assert main(["pipeline", str(path), "--out", str(out)]) == 0
+        result = pipeline.run_pipeline(*pipeline.ingest_corpus(path), pipeline.PipelineConfig())
+        assert capsys.readouterr().out == pipeline.format_result(result)
+        assert out.read_text() == pipeline.render_json(pipeline.result_to_json(result))
 
 
 SET = ("reports", 0, "masses", 0, "set")

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from evintel.cli import main
 from evintel.cluster import DomainPrior, EvidenceCorpus, Report, SearchConfig, exhaustive_search
 from evintel.ds import Frame, ValidationError, make_mass
 from evintel.pipeline import (
@@ -141,6 +142,16 @@ class TestPipelineConfig:
             PipelineConfig(**kw)
 
 
+# one kernel of each stage; the corpus below reaches every one of them
+BROKEN_STAGE = {
+    "cluster": "evintel.pipeline.partition_search",
+    "specify": "evintel.specify.specify_corpus",
+    "posterior": "evintel.posterior.counting_bpa",
+    "tracks": "evintel.tracks.best_path_dp",
+    "decide": "evintel.decide.game_preferences",
+}
+
+
 class TestRunPipeline:
     def test_ground_truth_scenario(self):
         doc = generate_scenario_doc(ScenarioConfig(seed=3, targets=3, reports_per_target=4))
@@ -208,18 +219,21 @@ class TestRunPipeline:
         assert result.decision is None
         assert "decision" not in result_to_json(result)
 
-    def test_decide_stage_error_is_wrapped(self):
-        corpus = EvidenceCorpus(
-            AB, (Report("r1", make_mass(AB, [(("A",), 0.6), (("A", "B"), 0.4)])),)
-        )
-        from evintel.decide import DecisionMaker, UtilityIntervalChoice
+    @pytest.mark.parametrize("stage", list(BROKEN_STAGE))
+    def test_stage_error_is_wrapped(self, tmp_path, capsys, monkeypatch, stage):
+        def broken(*args):
+            raise ArithmeticError("broken")
 
-        dup = [
-            DecisionMaker("m1", (UtilityIntervalChoice("X", 0.1, 0.2),)),
-            DecisionMaker("m2", (UtilityIntervalChoice("X", 0.1, 0.2),)),
-        ]
-        with pytest.raises(StageError, match="decide"):
-            run_pipeline(corpus, DomainPrior({1: 1.0}), decision=({}, dup))
+        monkeypatch.setattr(BROKEN_STAGE[stage], broken)
+        corpus, prior = parse_document(PINNED_DECISION_DOC)
+        with pytest.raises(StageError) as failure:
+            run_pipeline(corpus, prior, decision=parse_decision(PINNED_DECISION_DOC))
+        assert failure.value.stage == stage
+        assert isinstance(failure.value.cause, ArithmeticError)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(PINNED_DECISION_DOC))
+        assert main(["pipeline", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: stage {stage!r} failed: broken\n"
 
     @pytest.mark.parametrize("n_reports", [7, 12, 13])
     def test_normalization_up_to_dp_limit(self, n_reports):
