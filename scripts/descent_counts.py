@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Count the kernel calls of ``partition_search`` (20 restarts of steepest
-descent) per search: full fold steps, conflict-only fold steps and k-term
-products (calls of ``math.prod`` in ``cluster``, each over the survival
-factors of a partition's k blocks). Then count the fold steps and the
-branch-and-bound nodes of ``exhaustive_search`` on the same corpora.
+descent) per search: descents (calls of ``_descend``; a restart whose start
+repeats an earlier one runs none), full fold steps, conflict-only fold steps
+and k-term products (calls of ``math.prod`` in ``cluster``, each over the
+survival factors of a partition's k blocks). Then count the fold steps and
+the branch-and-bound nodes of ``exhaustive_search`` on the same corpora.
 
-Every visit of ``_branch_and_bound`` calls ``math.prod`` exactly once: an
-inner node for its bound, a leaf through ``_mcf_value``. ``_report`` calls it
-once more for the winner. So the nodes of one ``exhaustive_search`` are its
-``math.prod`` calls minus one.
+Every visit of ``_branch_and_bound`` calls ``math.prod`` exactly once, for
+the survival of its open blocks, which an inner node's bound and a leaf's
+score both read. ``_report`` calls it once more for the winner. So the nodes
+of one ``exhaustive_search`` are its ``math.prod`` calls minus one.
 
 Corpora (seed 3 by default): the ``evintel gen`` ladder one rung at a time, ten
 10-report corpora like the exhaustive-check benchmark's (five separable, five
@@ -41,7 +42,7 @@ SET_STRIDE = 100_003  # seed step between sets, as in the benchmark
 def counting():
     """Count kernel calls in ``cluster`` while the block runs."""
     counts = collections.Counter()
-    fold_step = cluster._fold_step
+    fold_step, descend = cluster._fold_step, cluster._descend
 
     def counted_fold_step(state, items, last=False):
         counts["conflict-only" if last else "full"] += 1
@@ -51,22 +52,26 @@ def counting():
         counts["products"] += 1
         return math.prod(factors)
 
+    def counted_descend(*args):
+        counts["descents"] += 1
+        return descend(*args)
+
     counted_math = types.SimpleNamespace(**vars(math))
     counted_math.prod = counted_prod
-    saved = cluster._fold_step, cluster.math
-    cluster._fold_step, cluster.math = counted_fold_step, counted_math
+    saved = cluster._fold_step, cluster._descend, cluster.math
+    cluster._fold_step, cluster._descend, cluster.math = counted_fold_step, counted_descend, counted_math
     try:
         yield counts
     finally:
-        cluster._fold_step, cluster.math = saved
+        cluster._fold_step, cluster._descend, cluster.math = saved
 
 
 def count(search, corpora) -> list[float]:
-    """Mean full fold steps, conflict-only fold steps and ``math.prod`` calls per search."""
+    """Mean descents, full fold steps, conflict-only fold steps and ``math.prod`` calls per search."""
     with counting() as counts:
         for corpus, prior in corpora:
             search(corpus, prior)
-    return [counts[key] / len(corpora) for key in ("full", "conflict-only", "products")]
+    return [counts[key] / len(corpora) for key in ("descents", "full", "conflict-only", "products")]
 
 
 def scenario(seed: int, targets: int, per_target: int, **kw):
@@ -104,16 +109,16 @@ def main() -> None:
     rows = [(f"gen --seed {args.seed} {t}x{p}", [scenario(args.seed, t, p)]) for t, p in LADDER]
     rows.append(("exhaustive-check, 10 corpora", exhaustive_check_corpora(args.seed)))
     rows.append(("track-desk, 12 corpora", track_desk_corpora(args.seed)))
-    print(f"{'':<30} {'partition_search':^43}   {'exhaustive_search':^36}".rstrip())
+    print(f"{'':<30} {'partition_search':^53}   {'exhaustive_search':^36}".rstrip())
     print(
-        f"{'corpora':<30} {'full folds':>11} {'conflict-only':>14} {'k-term products':>16}"
+        f"{'corpora':<30} {'descents':>9} {'full folds':>11} {'conflict-only':>14} {'k-term products':>16}"
         f"   {'full folds':>11} {'conflict-only':>14} {'nodes':>9}   (per search)"
     )
     for label, corpora in rows:
-        full, last, products = count(partition_search, corpora)
-        exact_full, exact_last, calls = count(exhaustive_search, corpora)
+        descents, full, last, products = count(partition_search, corpora)
+        _, exact_full, exact_last, calls = count(exhaustive_search, corpora)
         print(
-            f"{label:<30} {full:>11.1f} {last:>14.1f} {products:>16.1f}"
+            f"{label:<30} {descents:>9.1f} {full:>11.1f} {last:>14.1f} {products:>16.1f}"
             f"   {exact_full:>11.1f} {exact_last:>14.1f} {calls - 1:>9.1f}"
         )
 

@@ -371,7 +371,7 @@ def _fold_step(state: FoldState, items: tuple, last: bool = False) -> FoldState:
 def _descend(
     corpus: EvidenceCorpus,
     prior: DomainPrior,
-    blocks: list[list[str]],
+    blocks: Sequence[Sequence[str]],
     max_sweeps: int,
     store: dict[frozenset[int], BlockValues],
 ) -> tuple[list[list[str]], float]:
@@ -399,14 +399,15 @@ def _descend(
     most 2.9e-13.
 
     A sweep visits reports best first, which changes neither the move taken
-    nor any float. Phase 1 goes through the reports in corpus order and
-    scores each one's move into a fresh block and its ``bound``: mcf with only
-    its origin changed, at the block count all of its moves into existing
-    blocks share. None of those moves scores below ``bound``. A report
-    joining block t scores ``c(t + j) >= c(t)``: the add is one step from the
-    state of t's whole prefix chain, whose ``1 - survival`` is t's conflict,
-    and that step multiplies the survival by ``1 - c_step <= 1``, which
-    rounding cannot raise; and the float product and subtractions are
+    nor any float. Phase 1 goes through the reports in corpus order and scores
+    each one's move into a fresh block and its ``bound``: mcf with only its
+    origin changed, at the block count all of its moves into existing blocks
+    share; an origin the move empties stays among the survival factors as 1.0,
+    which changes no product. None of those moves scores below ``bound``. A
+    report joining block t scores ``c(t + j) >= c(t)``: the add is one step
+    from the state of t's whole prefix chain, whose ``1 - survival`` is t's
+    conflict, and that step multiplies the survival by ``1 - c_step <= 1``,
+    which rounding cannot raise; and the float product and subtractions are
     monotone in each factor. So a report whose bound does not improve on mcf
     by more than ``IMPROVEMENT_TOL`` has no acceptable move into an existing
     block, and is dropped. Phase 2 scores the moves into existing blocks of
@@ -428,42 +429,37 @@ def _descend(
         n_blocks = len(states)
         best_cand = math.inf
         best_move: tuple[int, int] | None = None  # (report index, target block; n_blocks for a fresh one)
-        bounds = []  # (bound, report index, survivals with only its origin changed, origin dropped)
+        bounds = []  # (bound, report index, survivals with only its origin changed, weight of their block count)
         for j in range(n):
             origin = where[j]
-            if len(states[origin].members) > 1:
-                base = survivals.copy()
-                base[origin] = 1.0 - states[origin].moved(j)
-                dropped = 0  # candidates' survival lists keep the origin's position
-            elif n_blocks > 1:
-                base = survivals[:origin] + survivals[origin + 1 :]
-                dropped = 1  # the emptied origin drops out; later blocks shift down
-            else:
+            keeps = len(states[origin].members) > 1
+            if not keeps and n_blocks == 1:
                 continue  # a lone report in a lone block has no move
+            base = survivals.copy()
+            base[origin] = 1.0 - states[origin].moved(j) if keeps else 1.0
+            weight = weights[n_blocks if keeps else n_blocks - 1]
             product = math.prod(base)
-            bound = 1.0 - weights[len(base)] * product
+            bound = 1.0 - weight * product
             if mcf - bound > IMPROVEMENT_TOL:
-                bounds.append((bound, j, base, dropped))
-            if not dropped:
+                bounds.append((bound, j, base, weight))
+            if keeps:
                 # a fresh block's survival factor is 1.0, which leaves the product as it is
-                cand = 1.0 - weights[len(base) + 1] * product
+                cand = 1.0 - weights[n_blocks + 1] * product
                 if mcf - cand > IMPROVEMENT_TOL and cand < best_cand:
                     best_cand = cand
                     best_move = (j, n_blocks)
         bounds.sort()  # report indices are distinct, so no two entries compare their lists
-        for bound, j, base, dropped in bounds:
+        for bound, j, base, weight in bounds:
             if bound > best_cand:
                 break
             origin = where[j]
-            weight = weights[len(base)]
             for t in range(n_blocks):
                 if t == origin:
                     continue
-                pos = t - dropped if t > origin else t
-                held = base[pos]
-                base[pos] = 1.0 - states[t].moved(j)
+                held = base[t]
+                base[t] = 1.0 - states[t].moved(j)
                 cand = 1.0 - weight * math.prod(base)
-                base[pos] = held
+                base[t] = held
                 if mcf - cand > IMPROVEMENT_TOL and (cand < best_cand or cand == best_cand and (j, t) < best_move):
                     best_cand = cand
                     best_move = (j, t)
@@ -489,12 +485,12 @@ def _descend(
     return [[ids[i] for i in state.members] for state in states], mcf
 
 
-def _random_start(corpus: EvidenceCorpus, prior: DomainPrior, rng: random.Random) -> list[list[str]]:
+def _random_start(corpus: EvidenceCorpus, prior: DomainPrior, rng: random.Random) -> tuple[tuple[str, ...], ...]:
     n = rng.randint(1, min(prior.r_max, len(corpus.reports)))
     blocks: list[list[str]] = [[] for _ in range(n)]
     for report in corpus.reports:
         blocks[rng.randrange(n)].append(report.id)
-    return [b for b in blocks if b]
+    return tuple(tuple(b) for b in blocks if b)
 
 
 def partition_search(
@@ -516,13 +512,15 @@ def partition_search(
     restart's mcf is the canonical one of its final blocks, so the merge
     compares ``cluster_conflict`` values, and the report is built from the
     winner's stored conflicts in partition order, as ``metaconflict`` would
-    give it. ``config`` has checked its values when it was built.
+    give it. A descent depends only on its start, so a start that repeats an
+    earlier one is not run again: every draw of one block gives the same
+    start. ``config`` has checked its values when it was built.
     """
     store: dict[frozenset[int], BlockValues] = {}
+    starts = (_random_start(corpus, prior, random.Random(f"{config.seed}:{i}")) for i in range(config.restarts))
     runs = []
-    for i in range(config.restarts):
-        rng = random.Random(f"{config.seed}:{i}")
-        blocks, mcf = _descend(corpus, prior, _random_start(corpus, prior, rng), config.max_sweeps, store)
+    for start in dict.fromkeys(starts):  # each distinct start once, in draw order
+        blocks, mcf = _descend(corpus, prior, start, config.max_sweeps, store)
         runs.append((mcf, _canonical_key(corpus, blocks), blocks))
     _, _, best_blocks = min(runs, key=lambda r: r[:2])
     partition = make_partition(corpus, best_blocks)
@@ -530,11 +528,9 @@ def partition_search(
     return partition, _report(prior, conflicts)
 
 
-def _branch_and_bound(
-    corpus: EvidenceCorpus, prior: DomainPrior, cap: int
-) -> tuple[list[list[str]], tuple[float, ...]]:
+def _branch_and_bound(corpus: EvidenceCorpus, prior: DomainPrior) -> tuple[list[list[str]], tuple[float, ...]]:
     """Blocks and block conflicts of the (mcf, canonical key) minimum over
-    partitions of at most cap blocks.
+    partitions of at most min(r_max, n) blocks.
 
     Depth-first over restricted growth strings: reports in corpus order, each
     into an open block or into a new one. A block only grows by a report
@@ -544,6 +540,10 @@ def _branch_and_bound(
     so its step is conflict-only. States are memoised per block for the call;
     a saturated state stays saturated in every superset. The conflicts
     returned are the winner's memoised ones, in block order.
+
+    A leaf with k blocks scores ``1 - w * prod(1 - c_i)``, w = ``1 - c0`` of k
+    blocks, as ``_mcf_value`` does; its key (k, sorted blocks) is
+    ``_canonical_key``'s, and in label order, which is least-member order.
 
     Children are visited best first: by descending survival factor
     ``(1 - c_child) / (1 - c_parent)`` of the block report i joins, where a
@@ -556,17 +556,17 @@ def _branch_and_bound(
     any visit order returns the same minimum, bit for bit.
 
     No completion of a node scores below ``1 - w * prod(1 - c_i)`` over its
-    open blocks, with w = ``1 - c0`` of the k blocks it ends with: blocks only
-    gain reports, which never raises survival, and each step of the bound is
-    the leaf's own float operation on arguments at least as large, so it
-    bounds in floating point too. Nor does any completion with k blocks have
-    a canonical key below (k, open blocks' members so far), since blocks only
+    open blocks, with w of the k blocks it ends with: blocks only gain
+    reports, which never raises survival, and each step of the bound is the
+    leaf's own float operation on arguments at least as large, so it bounds
+    in floating point too. Nor does any completion with k blocks have a
+    canonical key below (k, open blocks' members so far), since blocks only
     gain later indices. A node is cut when every reachable k bounds above the
     incumbent's mcf, or the smallest k that can tie it gives a key above the
     incumbent's.
     """
     n = len(corpus.reports)
-    ids = corpus.ids
+    cap = min(prior.r_max, n)
     items = corpus._items
     weights = [1.0 - domain_conflict(k, prior) for k in range(1, cap + 1)]
     states: dict[tuple[int, ...], FoldState] = {}
@@ -574,7 +574,6 @@ def _branch_and_bound(
     conflicts: list[float] = []
     best_mcf = math.inf
     best_key: tuple = ()
-    best_blocks: list[list[str]] = []
     best_conflicts: tuple[float, ...] = ()
 
     def conflict_of(block: tuple[int, ...]) -> float:
@@ -589,19 +588,18 @@ def _branch_and_bound(
         return 1.0 - state[1]
 
     def visit(i: int) -> None:
-        nonlocal best_mcf, best_key, best_blocks, best_conflicts
+        nonlocal best_mcf, best_key, best_conflicts
         used = len(blocks)
+        survival = math.prod(1.0 - c for c in conflicts)
         if i == n:
-            mcf = _mcf_value(domain_conflict(used, prior), conflicts)
+            mcf = 1.0 - weights[used - 1] * survival
             if mcf > best_mcf:
                 return
-            id_blocks = [[ids[j] for j in b] for b in blocks]
-            key = _canonical_key(corpus, id_blocks)
+            key = (used, sorted(blocks))
             if mcf < best_mcf or key < best_key:
-                best_mcf, best_key, best_blocks, best_conflicts = mcf, key, id_blocks, tuple(conflicts)
+                best_mcf, best_key, best_conflicts = mcf, key, tuple(conflicts)
             return
         lo = max(used, 1)
-        survival = math.prod(1.0 - c for c in conflicts)
         bounds = [1.0 - w * survival for w in weights[lo - 1 : min(cap, used + n - i)]]
         bound = min(bounds)
         if bound > best_mcf:
@@ -630,12 +628,11 @@ def _branch_and_bound(
 
     visit(0)
     del visit  # a recursive closure is a reference cycle; unlink it so the memo is freed now
-    return best_blocks, best_conflicts
+    ids = corpus.ids
+    return [[ids[j] for j in b] for b in best_key[1]], best_conflicts
 
 
-def exhaustive_search(
-    corpus: EvidenceCorpus, prior: DomainPrior, max_blocks: int | None = None
-) -> tuple[Partition, MetaConflictReport]:
+def exhaustive_search(corpus: EvidenceCorpus, prior: DomainPrior) -> tuple[Partition, MetaConflictReport]:
     """Global metaconflict minimum over every partition, by exact branch and bound.
 
     Only partitions with at most min(r_max, n) blocks are considered; any
@@ -643,9 +640,5 @@ def exhaustive_search(
     Ties in mcf go to the smallest ``_canonical_key``, as in a full scan.
     ``oracle.enumerate_search`` scores every partition and is the check.
     """
-    n = len(corpus.reports)
-    cap = min(prior.r_max, n) if max_blocks is None else min(max_blocks, n)
-    if cap < 1:
-        raise ValidationError("max_blocks must be >= 1")
-    blocks, conflicts = _branch_and_bound(corpus, prior, cap)
+    blocks, conflicts = _branch_and_bound(corpus, prior)
     return make_partition(corpus, blocks), _report(prior, conflicts)

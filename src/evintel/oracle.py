@@ -323,14 +323,12 @@ def enumerate_partitions(n_items: int, max_blocks: int) -> Iterator[list[list[in
     yield from grow(0, 0)
 
 
-def enumerate_search(
-    corpus: EvidenceCorpus, prior: DomainPrior, max_blocks: int | None = None
-) -> tuple[Partition, MetaConflictReport]:
+def enumerate_search(corpus: EvidenceCorpus, prior: DomainPrior) -> tuple[Partition, MetaConflictReport]:
     """``exhaustive_search`` by scoring every partition of at most
-    min(r_max, n) (or ``max_blocks``) blocks with ``reference_conflict``; ties
-    go to the smallest canonical key."""
+    min(r_max, n) blocks with ``reference_conflict``; ties go to the smallest
+    canonical key."""
     n = len(corpus.reports)
-    cap = min(prior.r_max, n) if max_blocks is None else min(max_blocks, n)
+    cap = min(prior.r_max, n)
     ids = corpus.ids
     conflict_of = reference_conflicts(corpus)
     best: tuple[float, tuple, list[list[str]]] | None = None
@@ -756,16 +754,15 @@ def check_partition_branch_and_bound(seed: int, trials: int) -> CheckResult:
         n = rng.randint(1, 7)
         corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=0.25, vacuous_share=0.1)
         prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.4)
-        max_blocks = rng.choice((None, rng.randint(1, n)))
-        part, report = exhaustive_search(corpus, prior, max_blocks)
-        oracle_part, oracle_report = enumerate_search(corpus, prior, max_blocks)
+        part, report = exhaustive_search(corpus, prior)
+        oracle_part, oracle_report = enumerate_search(corpus, prior)
         if part.blocks != oracle_part.blocks or report != oracle_report:
             mismatches += 1
     return CheckResult("partition branch-and-bound vs enumeration", mismatches == 0, float(mismatches))
 
 
 def descents_agree(
-    corpus: EvidenceCorpus, prior: DomainPrior, start: list[list[str]], max_sweeps: int
+    corpus: EvidenceCorpus, prior: DomainPrior, start: Sequence[Sequence[str]], max_sweeps: int
 ) -> bool:
     """``cluster._descend`` and ``reference_descent`` from the same start: the
     same blocks in the same order, a bit-equal mcf, every canonical conflict
@@ -797,7 +794,7 @@ def store_matches_reference(
 
 
 def descents_part_only_at_near_ties(
-    corpus: EvidenceCorpus, prior: DomainPrior, start: list[list[str]], max_sweeps: int
+    corpus: EvidenceCorpus, prior: DomainPrior, start: Sequence[Sequence[str]], max_sweeps: int
 ) -> bool:
     """``descents_agree`` where moved values carry dust, as on masses spread
     over many orders of magnitude: every canonical conflict in the

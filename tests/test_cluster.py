@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from evintel import cluster
 from evintel.cluster import (
     IMPROVEMENT_TOL,
     BlockState,
@@ -276,6 +277,25 @@ class TestPartitionSearch:
         part, report = partition_search(pair_corpus, prior, SearchConfig(max_sweeps=0))  # the best start
         assert report == metaconflict(part, prior)
 
+    def test_each_distinct_start_descends_once(self, monkeypatch):
+        # a descent depends only on its start, and every draw of one block
+        # gives the same one-block start: 20 restarts on the gen-seed-3 2x6
+        # corpus draw 16 distinct starts, and each is descended once
+        doc = generate_scenario_doc(ScenarioConfig(seed=3, targets=2, reports_per_target=6, frame_size=6))
+        corpus, prior = parse_document(doc)
+        draws = {_random_start(corpus, prior, random.Random(f"0:{i}")) for i in range(20)}
+        assert len(draws) == 16
+        descended = []
+
+        def counted(corpus, prior, blocks, max_sweeps, store):
+            descended.append(blocks)
+            return _descend(corpus, prior, blocks, max_sweeps, store)
+
+        monkeypatch.setattr(cluster, "_descend", counted)
+        partition_search(corpus, prior, SearchConfig(restarts=20, seed=0))
+        assert len(descended) == 16
+        assert set(descended) == draws
+
     def test_hopeless_prior_returns_full_conflict(self):
         # every reachable block count has prior 0, so the best any partition
         # can score is mcf 1; the search must still terminate and return one
@@ -317,9 +337,10 @@ class TestBranchAndBound:
     def test_matches_enumeration(self):
         # same blocks and a bit-identical report, not only the same value: a
         # quarter of the reports are categorical (saturated blocks), a tenth
-        # vacuous (exact value ties), priors have zero entries, and every other
-        # corpus caps the block count explicitly; at 9 reports the oracle scores
-        # up to 21,147 partitions a corpus, so that size gets fewer corpora
+        # vacuous (exact value ties), priors have zero entries, and r_max runs
+        # from 1 to n + 1, so the cap min(r_max, n) is often below n; at 9
+        # reports the oracle scores up to 21,147 partitions a corpus, so that
+        # size gets fewer corpora
         rng = random.Random(61)
         corpora = 0
         for n in range(1, 10):
@@ -328,10 +349,9 @@ class TestBranchAndBound:
                     rng, n, rng.randint(2, 4), categorical_share=0.25, vacuous_share=0.1
                 )
                 prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.4)
-                max_blocks = rng.randint(1, n) if t % 2 else None
-                part, report = exhaustive_search(corpus, prior, max_blocks)
+                part, report = exhaustive_search(corpus, prior)
                 fresh = EvidenceCorpus(corpus.frame, corpus.reports)
-                oracle_part, oracle_report = enumerate_search(fresh, prior, max_blocks)
+                oracle_part, oracle_report = enumerate_search(fresh, prior)
                 assert part.blocks == oracle_part.blocks
                 assert report.mcf == oracle_report.mcf
                 assert report == oracle_report
@@ -411,10 +431,6 @@ class TestBranchAndBound:
         part, report = exhaustive_search(corpus, DomainPrior.uniform(2))
         assert part.blocks == (("e1", "e3"), ("e2", "e4"))
         assert report.mcf == 0.5
-
-    def test_invalid_max_blocks(self, pair_corpus):
-        with pytest.raises(ValidationError, match="max_blocks"):
-            exhaustive_search(pair_corpus, DomainPrior.uniform(2), max_blocks=0)
 
     def test_search_reaches_minimum_on_larger_corpora(self):
         rng = random.Random(71)
@@ -500,6 +516,25 @@ class TestIncrementalDescent:
         fresh = metaconflict(make_partition(corpus, [["e1"], ["e2"], ["e3"]]), prior).mcf
         assert metaconflict(make_partition(corpus, [["e2"], ["e1", "e3"]]), prior).mcf == fresh
         assert _descend(corpus, prior, [list(b) for b in start], 1, {}) == ([["e2"], ["e1", "e3"]], fresh)
+        for sweeps in (1, 200):
+            assert descents_agree(corpus, prior, start, sweeps)
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            [["e4"], ["e1", "e2"], ["e3"]],  # the emptied origin lies before its target
+            [["e1", "e2"], ["e3"], ["e4"]],  # and after it
+        ],
+    )
+    def test_a_move_that_empties_a_singleton_block(self, start):
+        # e1, e2, e4 lean to A and e3 to B, and the prior favours 2 blocks, so
+        # the first sweep's best move takes e4 out of its singleton into {e1, e2}
+        pa, pb = simple(AB, "A", 0.9), simple(AB, "B", 0.9)
+        corpus = corpus_of(AB, ("e1", pa), ("e2", pa), ("e3", pb), ("e4", pa))
+        prior = DomainPrior({1: 0.1, 2: 0.6, 3: 0.3})
+        moved = [["e1", "e2", "e4"], ["e3"]]
+        mcf = metaconflict(make_partition(corpus, moved), prior).mcf
+        assert _descend(corpus, prior, [list(b) for b in start], 1, {}) == (moved, mcf)
         for sweeps in (1, 200):
             assert descents_agree(corpus, prior, start, sweeps)
 
