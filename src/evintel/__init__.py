@@ -32,18 +32,14 @@ from .ds import (
     MassFunction,
     TotalConflictError,
     ValidationError,
-    combine_all,
     combine_dempster,
-    discount,
     make_mass,
-    query_bel_pls,
     vacuous,
 )
 from .pipeline import (
     PipelineConfig,
     PipelineResult,
     StageError,
-    ingest_corpus,
     run_pipeline,
 )
 from .posterior import (
@@ -58,7 +54,6 @@ from .specify import (
     NEW_BLOCK,
     MembershipEvidence,
     MembershipSpecification,
-    discounted_view,
     membership_evidence,
     specify_corpus,
 )

@@ -117,10 +117,6 @@ class MassFunction:
     def theta_mass(self) -> float:
         return self.masses.get(self.frame.full_bits, 0.0)
 
-    @property
-    def is_vacuous(self) -> bool:
-        return set(self.masses) == {self.frame.full_bits}
-
 
 def make_mass(frame: Frame, entries: Sequence[tuple[Iterable[str] | FocalSet, float]]) -> MassFunction:
     """Build a validated mass function; zero entries dropped, duplicates merged.
@@ -219,47 +215,3 @@ def combine_dempster(m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, 
         raise ValidationError("mass functions live on different frames")
     masses, conflict = _dempster_step(m1.masses, m2.masses.items())
     return MassFunction(m1.frame, masses), conflict
-
-
-def combine_all(ms: Sequence[MassFunction]) -> tuple[MassFunction, float]:
-    """Left-fold of Dempster's rule.
-
-    The accumulated conflict 1 - prod(1 - c_step) equals the conflict of one
-    simultaneous product-space combination (normalizers compose).
-    """
-    if not ms:
-        raise ValidationError("no mass functions to combine")
-    acc = ms[0]
-    survival = 1.0
-    for m in ms[1:]:
-        acc, c = combine_dempster(acc, m)
-        survival *= 1.0 - c
-    return acc, 1.0 - survival
-
-
-def query_bel_pls(m: MassFunction, a: Iterable[str] | FocalSet) -> tuple[float, float]:
-    """Belief and plausibility of a subset: mass contained in it, mass touching it."""
-    if isinstance(a, FocalSet):
-        if a.frame != m.frame:
-            raise ValidationError("subset belongs to a different frame")
-        bits = a.bits
-    else:
-        bits = m.frame.bits_of(a)
-    bel = math.fsum(v for b, v in m.masses.items() if b & ~bits == 0)
-    pls = math.fsum(v for b, v in m.masses.items() if b & bits)
-    return min(bel, 1.0), min(pls, 1.0)
-
-
-def discount(m: MassFunction, alpha: float) -> MassFunction:
-    """Scale every non-vacuous focal mass by ``alpha``; the deficit moves to the frame."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"discount rate {alpha} outside [0, 1]")
-    full = m.frame.full_bits
-    masses: dict[int, float] = {}
-    for bits, v in m.masses.items():
-        if bits != full and alpha > 0.0:
-            masses[bits] = v * alpha
-    masses[full] = 1.0 - math.fsum(masses.values())
-    if masses[full] <= 0.0:
-        del masses[full]
-    return MassFunction(m.frame, masses)

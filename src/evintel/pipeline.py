@@ -184,11 +184,6 @@ def load_document(path: str | FilePath) -> dict:
     return doc
 
 
-def ingest_corpus(path: str | FilePath) -> tuple[EvidenceCorpus, DomainPrior]:
-    """Load and validate a corpus file; errors carry the file location."""
-    return parse_document(load_document(path), where=str(FilePath(path)))
-
-
 def parse_decision(doc: dict, where: str = "input") -> tuple[dict[str, float], list[decide.DecisionMaker]] | None:
     """The optional decision section: utilities plus per-maker choice bpas."""
     section = doc.get("decision")

@@ -31,13 +31,7 @@ class CountingBpa:
 
 @dataclass(frozen=True)
 class PosteriorDistribution:
-    probabilities: dict[int, float]
-
-    def mean(self) -> float:
-        return math.fsum(r * p for r, p in self.probabilities.items())
-
-    def mode(self) -> int:
-        return max(self.probabilities, key=lambda r: (self.probabilities[r], -r))
+    probabilities: dict[int, float]  # count -> probability, one entry per count the prior lists
 
 
 def subset_support(corpus: EvidenceCorpus, block: Iterable[str]) -> float:
@@ -72,6 +66,9 @@ def posterior_distribution(cb: CountingBpa, prior: DomainPrior) -> PosteriorDist
 
     Since the prior is Bayesian the result is Bayesian:
     P(r) is proportional to prior(r) * (vacuous + sum of mass("at least k") for k <= r).
+    The result has one entry per count the prior lists, in ascending order; a
+    count the prior leaves out has probability 0 and no entry, so the work
+    grows with the prior's entries, not with its largest count.
     """
     r_max = prior.r_max
     if cb.n > r_max:
@@ -79,7 +76,7 @@ def posterior_distribution(cb: CountingBpa, prior: DomainPrior) -> PosteriorDist
             f"counting bpa supports {cb.n} events but the prior allows at most {r_max}"
         )
     unnorm: dict[int, float] = {}
-    for r in range(1, r_max + 1):
+    for r in sorted(prior.probabilities):
         reachable = cb.vacuous + math.fsum(cb.at_least[: min(r, cb.n)])
         unnorm[r] = prior(r) * reachable
     total = math.fsum(unnorm.values())

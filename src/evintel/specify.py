@@ -10,14 +10,18 @@ Moves that change the number of blocks (spawning a fresh block, or emptying a
 singleton origin) additionally contribute a domain component computed the same
 way from the domain conflict. The two components fuse with the usual
 1 - (1-a)(1-b) rule; membership plausibility is their complement.
+
+The pipeline reports these plausibilities and weights; no later stage reads
+them (the track stage gives each block member vertex mass 1 - m(frame),
+whatever its membership).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cluster import BlockState, DomainPrior, EvidenceCorpus, Partition, domain_conflict
-from .ds import MassFunction, ValidationError, discount, left_sum
+from .cluster import BlockState, DomainPrior, Partition, domain_conflict
+from .ds import left_sum
 
 NEW_BLOCK = "new"
 
@@ -128,17 +132,3 @@ def specify_corpus(partition: Partition, prior: DomainPrior) -> MembershipSpecif
         else:
             weights[report.id] = {k: 1.0 / partition.n_blocks for k in range(partition.n_blocks)}
     return MembershipSpecification(plausibility, weights)
-
-
-def discounted_view(
-    corpus: EvidenceCorpus, spec: MembershipSpecification, block: int
-) -> tuple[MassFunction, ...]:
-    """Every report's evidence discounted by its membership plausibility for ``block``."""
-    views = []
-    for report in corpus.reports:
-        try:
-            alpha = spec.plausibility[report.id][block]
-        except KeyError:
-            raise ValidationError(f"block {block!r} not covered by the specification") from None
-        views.append(discount(report.evidence, alpha))
-    return tuple(views)

@@ -23,7 +23,7 @@ from evintel.decide import (
     rho_segmentation,
     sequential_play,
 )
-from evintel.ds import Frame, combine_all, combine_dempster
+from evintel.ds import Frame, combine_dempster
 from evintel.oracle import (
     OracleSizeError,
     all_paths,
@@ -31,6 +31,7 @@ from evintel.oracle import (
     counting_bpa_enumeration,
     counting_to_mass,
     enumerate_conflict,
+    fold_conflict,
     prior_to_mass,
     random_mass,
     random_simple_support,
@@ -82,8 +83,7 @@ def test_c1_dempster_core_algebra():
 
     for _ in range(100):
         ms = [random_simple_support(FRAME, rng) for _ in range(rng.randint(2, 6))]
-        _, accumulated = combine_all(ms)
-        assert abs(accumulated - enumerate_conflict(ms)) <= 1e-9
+        assert abs(fold_conflict(ms) - enumerate_conflict(ms)) <= 1e-9
 
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

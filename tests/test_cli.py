@@ -173,6 +173,15 @@ class TestStageCommands:
         assert main(["posterior", str(scenario_file), "--rmax", "5", "--out", str(out)]) == 0
         assert sorted(json.loads(out.read_text())["posterior"]) == ["1", "2", "3", "4", "5"]
 
+    def test_gapped_prior_posterior_lists_only_its_counts(self, tmp_path, capsys):
+        # the output grows with the prior's entries, not with its largest count
+        doc = {"frame": DECISION_DOC["frame"], "prior": {"1": 0.5, "200000": 0.5}, "reports": DECISION_DOC["reports"]}
+        path, out = write_json(tmp_path / "gap.json", doc), tmp_path / "out.json"
+        assert main(["posterior", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["posterior"].keys() == {"1", "200000"}
+        assert out.stat().st_size < 2048
+        assert len(capsys.readouterr().out.splitlines()) < 50
+
 
 STAGE_COMMANDS = ("cluster", "specify", "posterior", "tracks", "pipeline")
 NON_CONFIG_DESTS = {"command", "input", "out", "rmax", "threads", "dot"}
@@ -195,7 +204,8 @@ class TestConfigFlags:
         path, out = tmp_path / "corpus.json", tmp_path / "out.json"
         path.write_text(text)
         assert main(["pipeline", str(path), "--out", str(out)]) == 0
-        result = pipeline.run_pipeline(*pipeline.ingest_corpus(path), pipeline.PipelineConfig())
+        corpus, prior = pipeline.parse_document(pipeline.load_document(path), where=str(path))
+        result = pipeline.run_pipeline(corpus, prior, pipeline.PipelineConfig())
         assert capsys.readouterr().out == pipeline.format_result(result)
         assert out.read_text() == pipeline.render_json(pipeline.result_to_json(result))
 

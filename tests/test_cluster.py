@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import ABCD
 from evintel import cluster
 from evintel.cluster import (
     IMPROVEMENT_TOL,
@@ -24,10 +25,13 @@ from evintel.ds import Frame, TotalConflictError, ValidationError, make_mass, va
 from evintel.oracle import (
     descents_agree,
     descents_part_only_at_near_ties,
+    enumerate_conflict,
     enumerate_partitions,
     enumerate_search,
+    fold_conflict,
     mixed_corpus,
     random_prior,
+    random_simple_support,
     random_spread_mass,
     reference_combine,
     reference_conflict,
@@ -83,6 +87,12 @@ class TestClusterConflict:
     def test_unknown_member(self, pair_corpus):
         with pytest.raises(ValidationError):
             cluster_conflict(pair_corpus, ["nope"])
+
+    def test_accumulated_equals_simultaneous(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            ms = [random_simple_support(ABCD, rng) for _ in range(rng.randint(2, 6))]
+            assert fold_conflict(ms) == pytest.approx(enumerate_conflict(ms), abs=1e-9)
 
 
 class TestDomainConflict:

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import ABCD, masses
+from conftest import masses
 from evintel.ds import (
     PRUNE_EPS,
     FocalSet,
@@ -12,20 +12,15 @@ from evintel.ds import (
     MassFunction,
     TotalConflictError,
     ValidationError,
-    combine_all,
     combine_dempster,
-    discount,
     left_sum,
     make_mass,
-    query_bel_pls,
     vacuous,
 )
 from evintel.ds import _dempster_conflict, _dempster_step  # noqa: PLC2701 - kernel vs reference
 from evintel.oracle import (
-    enumerate_conflict,
     kernel_agrees,
     random_mass,
-    random_simple_support,
     random_spread_mass,
     reference_combine,
 )
@@ -229,82 +224,6 @@ class TestDempsterKernel:
         assert kernel_agrees(m1, m2)
 
 
-class TestCombineAll:
-    def test_single(self):
-        m1 = m_of(AB, (("A",), 0.6), (("A", "B"), 0.4))
-        m, c = combine_all([m1])
-        assert (m, c) == (m1, 0.0)
-
-    def test_three_copies(self):
-        m1 = m_of(AB, (("A",), 0.5), (("A", "B"), 0.5))
-        m, c = combine_all([m1, m1, m1])
-        assert c == 0.0
-        assert m.mass(("A",)) == pytest.approx(0.875, abs=1e-12)
-        assert m.theta_mass == pytest.approx(0.125, abs=1e-12)
-
-    def test_permutation_invariance(self):
-        rng = random.Random(3)
-        ms = [random_mass(ABCD, rng) for _ in range(4)]
-        base_m, base_c = combine_all(ms)
-        for seed in range(5):
-            perm = ms[:]
-            random.Random(seed).shuffle(perm)
-            m, c = combine_all(perm)
-            assert c == pytest.approx(base_c, abs=1e-9)
-            assert set(m.masses) == set(base_m.masses)
-            for bits, v in base_m.masses.items():
-                assert m.masses[bits] == pytest.approx(v, abs=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            combine_all([])
-
-    def test_accumulated_equals_simultaneous(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            ms = [random_simple_support(ABCD, rng) for _ in range(rng.randint(2, 6))]
-            _, acc = combine_all(ms)
-            assert acc == pytest.approx(enumerate_conflict(ms), abs=1e-9)
-
-
-class TestQueries:
-    def test_vacuous_interval(self):
-        assert query_bel_pls(vacuous(AB), ("A",)) == (0.0, 1.0)
-
-    def test_worked_example(self):
-        m = m_of(AB, (("A",), 0.6), (("A", "B"), 0.4))
-        assert query_bel_pls(m, ("B",)) == (0.0, pytest.approx(0.4))
-
-    def test_totality(self):
-        m = m_of(AB, (("A",), 0.6), (("A", "B"), 0.4))
-        assert query_bel_pls(m, ("A", "B")) == (pytest.approx(1.0), pytest.approx(1.0))
-
-    def test_focal_set_frame_mismatch(self):
-        m = m_of(AB, (("A",), 0.6), (("A", "B"), 0.4))
-        with pytest.raises(ValidationError, match="different frame"):
-            query_bel_pls(m, FocalSet.of(ABC, ("A",)))
-
-
-class TestDiscount:
-    def test_identity(self):
-        m = m_of(AB, (("A",), 0.6), (("A", "B"), 0.4))
-        assert discount(m, 1.0) == m
-
-    def test_full_discount_is_vacuous(self):
-        m = m_of(AB, (("A",), 0.6), (("A", "B"), 0.4))
-        assert discount(m, 0.0).is_vacuous
-
-    def test_worked_example(self):
-        m = m_of(AB, (("A",), 0.6), (("A", "B"), 0.4))
-        d = discount(m, 0.5)
-        assert d.mass(("A",)) == pytest.approx(0.3)
-        assert d.theta_mass == pytest.approx(0.7)
-
-    def test_rate_out_of_range(self):
-        with pytest.raises(ValidationError):
-            discount(vacuous(AB), 1.5)
-
-
 @given(masses(), masses())
 @settings(max_examples=100, deadline=None)
 def test_commutativity(m1, m2):
@@ -324,17 +243,6 @@ def test_associativity(m1, m2, m3):
     assert set(left.masses) == set(right.masses)
     for bits, v in left.masses.items():
         assert right.masses[bits] == pytest.approx(v, abs=1e-9)
-
-
-@given(masses())
-@settings(max_examples=100, deadline=None)
-def test_bel_plus_pls_of_complement(m):
-    for bits in range(ABCD.full_bits + 1):
-        subset = ABCD.members_of(bits)
-        complement = tuple(e for e in ABCD.elements if e not in subset)
-        bel, _ = query_bel_pls(m, subset)
-        _, pls_c = query_bel_pls(m, complement)
-        assert bel + pls_c == pytest.approx(1.0, abs=1e-9)
 
 
 @given(masses(), masses())

@@ -10,7 +10,7 @@ from evintel.pipeline import (
     PipelineConfig,
     StageError,
     format_result,
-    ingest_corpus,
+    load_document,
     parse_decision,
     parse_document,
     render_json,
@@ -47,7 +47,7 @@ class TestIngest:
             json.dumps(doc_with([report_raw("r1", GOOD_MASSES), report_raw("r2", GOOD_MASSES)])),
             encoding="utf-8",
         )
-        corpus, prior = ingest_corpus(path)
+        corpus, prior = parse_document(load_document(path), where=str(path))
         assert len(corpus.reports) == 2
         assert prior.r_max == 2
 
@@ -66,14 +66,15 @@ class TestIngest:
             parse_document(doc_with([report_raw("r1", GOOD_MASSES), report_raw("r1", GOOD_MASSES)]))
 
     def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.json"
         with pytest.raises(ValidationError, match="no such file"):
-            ingest_corpus(tmp_path / "absent.json")
+            parse_document(load_document(path), where=str(path))
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{", encoding="utf-8")
         with pytest.raises(ValidationError, match="invalid JSON"):
-            ingest_corpus(path)
+            parse_document(load_document(path), where=str(path))
 
     def test_bad_prior(self):
         with pytest.raises(ValidationError, match="prior"):
@@ -160,7 +161,8 @@ class TestRunPipeline:
         assert result.partition.n_blocks == 3
         _, best = exhaustive_search(corpus, prior)
         assert result.metaconflict.mcf == pytest.approx(best.mcf, abs=1e-9)
-        assert result.posterior.mode() == 3
+        probabilities = result.posterior.probabilities
+        assert max(probabilities, key=lambda r: (probabilities[r], -r)) == 3
         assert result.membership is not None
         assert len(result.track_results) == 3
 

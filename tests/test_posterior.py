@@ -95,6 +95,12 @@ class TestPosterior:
         post = posterior_distribution(CountingBpa((), 1.0), prior)
         assert post.probabilities == prior.probabilities
 
+    def test_gapped_prior_keeps_the_floats_of_its_counts(self):
+        cb = counting_bpa([0.8, 0.5])
+        gapped = posterior_distribution(cb, DomainPrior({1: 0.25, 4: 0.75}))
+        filled = posterior_distribution(cb, DomainPrior({1: 0.25, 2: 0.0, 3: 0.0, 4: 0.75}))
+        assert gapped.probabilities == {1: filled.probabilities[1], 4: filled.probabilities[4]}
+
     def test_certain_prior(self):
         post = posterior_distribution(counting_bpa([0.8, 0.5]), DomainPrior({1: 0.0, 2: 1.0}))
         assert post.probabilities[2] == pytest.approx(1.0)
@@ -130,11 +136,13 @@ class TestPosterior:
         prior = DomainPrior.uniform(6)
         for _ in range(100):
             supports = [rng.random() for _ in range(rng.randint(1, 5))]
-            base = posterior_distribution(counting_bpa(supports), prior).mean()
+            post = posterior_distribution(counting_bpa(supports), prior).probabilities
+            base = math.fsum(r * p for r, p in post.items())
             i = rng.randrange(len(supports))
             bumped = list(supports)
             bumped[i] = min(1.0, bumped[i] + rng.random() * (1.0 - bumped[i]))
-            raised = posterior_distribution(counting_bpa(bumped), prior).mean()
+            post = posterior_distribution(counting_bpa(bumped), prior).probabilities
+            raised = math.fsum(r * p for r, p in post.items())
             assert raised >= base - 1e-12
 
 

@@ -86,13 +86,13 @@ class TestGeneration:
         assert len(doc["prior"]) == 6
 
     def test_round_trip_ingest(self, tmp_path):
-        from evintel.pipeline import ingest_corpus
+        from evintel.pipeline import load_document, parse_document
 
         for seed in range(100):
             cfg = ScenarioConfig(seed=seed, targets=2 + seed % 3, reports_per_target=3)
             path = tmp_path / f"s{seed}.json"
             path.write_text(generate_scenario(cfg), encoding="utf-8")
-            corpus, prior = ingest_corpus(path)
+            corpus, prior = parse_document(load_document(path), where=str(path))
             assert len(corpus.reports) == cfg.targets * cfg.reports_per_target
             assert prior.r_max == cfg.targets + 1
 

@@ -7,7 +7,6 @@ from evintel.ds import Frame, ValidationError, make_mass, vacuous
 from evintel.oracle import separable_corpus
 from evintel.specify import (
     NEW_BLOCK,
-    discounted_view,
     membership_evidence,
     specify_corpus,
 )
@@ -159,40 +158,3 @@ class TestSpecifyCorpus:
                         assert cluster_conflict(corpus, list(block) + [rid]) >= cluster_conflict(
                             corpus, block
                         ) - 1e-12
-
-
-class TestDiscountedView:
-    def test_full_plausibility_keeps_evidence(self):
-        corpus = corpus_of(AB, ("e1", simple(AB, "A", 0.6)), ("e2", simple(AB, "A", 0.5)))
-        part = make_partition(corpus, [["e1", "e2"]])
-        spec = specify_corpus(part, DomainPrior({1: 1.0}))
-        views = discounted_view(corpus, spec, 0)
-        assert views[0] == corpus.reports[0].evidence
-
-    def test_partial_discount(self):
-        corpus = corpus_of(AB, ("e1", simple(AB, "A", 0.6)), ("e2", simple(AB, "B", 0.7)))
-        part = make_partition(corpus, [["e1"], ["e2"]])
-        spec = specify_corpus(part, DomainPrior.uniform(2))
-        alpha = spec.plausibility["e1"][1]
-        views = discounted_view(corpus, spec, 1)
-        assert views[0].mass(("A",)) == pytest.approx(0.6 * alpha)
-        assert views[0].theta_mass == pytest.approx(1.0 - 0.6 * alpha)
-
-    def test_zero_plausibility_is_vacuous(self):
-        corpus = corpus_of(
-            AB,
-            ("e1", make_mass(AB, [(("A",), 1.0)])),
-            ("e2", make_mass(AB, [(("B",), 1.0)])),
-        )
-        part = make_partition(corpus, [["e1"], ["e2"]])
-        spec = specify_corpus(part, DomainPrior.uniform(2))
-        views = discounted_view(corpus, spec, 1)
-        assert spec.plausibility["e1"][1] == 0.0
-        assert views[0].is_vacuous
-
-    def test_unknown_block(self):
-        corpus = corpus_of(AB, ("e1", simple(AB, "A", 0.6)), ("e2", simple(AB, "A", 0.5)))
-        part = make_partition(corpus, [["e1", "e2"]])
-        spec = specify_corpus(part, DomainPrior({1: 1.0}))
-        with pytest.raises(ValidationError):
-            discounted_view(corpus, spec, 5)
