@@ -27,7 +27,6 @@ from .decide import (
     sequential_play,
 )
 from .ds import (
-    FocalSet,
     Frame,
     MassFunction,
     TotalConflictError,
@@ -44,7 +43,6 @@ from .pipeline import (
 )
 from .posterior import (
     CountingBpa,
-    PosteriorDistribution,
     counting_bpa,
     posterior_distribution,
     subset_support,

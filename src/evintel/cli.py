@@ -150,10 +150,10 @@ def _run_stage_command(args) -> int:
 
 def _run_decide(args) -> int:
     doc, where = _load(args)
-    decision = pl.parse_decision(doc, where=where)
-    if decision is None:
+    makers = pl.parse_decision(doc, where=where)
+    if makers is None:
         raise ValidationError(f"{where}: no decision section")
-    result = pl.analyze_decision(decision[1], args.rho)
+    result = pl.analyze_decision(makers, args.rho)
     _emit({"decision": pl.decision_to_json(result)}, pl.format_decision(result) + "\n", args.out)
     return 0
 

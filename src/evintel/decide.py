@@ -77,11 +77,14 @@ class DecisionMaker:
 
 
 def expected_interval(u: UtilityBpa, choice_id: str = "") -> UtilityIntervalChoice:
-    """[E_low, E_high]: every focal set contributes its worst / best utility."""
+    """[E_low, E_high]: every focal set contributes its worst / best utility.
+
+    The terms are summed in ``MassFunction.items()``'s bitmask order, so the
+    interval does not depend on the order the masses were listed in."""
     e_low = 0.0
     e_high = 0.0
-    for focal, mass in u.mass.items():
-        values = [u.utilities[e] for e in focal.members]
+    for members, mass in u.mass.items():
+        values = [u.utilities[e] for e in members]
         e_low += mass * min(values)
         e_high += mass * max(values)
     return UtilityIntervalChoice(choice_id, e_low, e_high)

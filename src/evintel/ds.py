@@ -77,48 +77,27 @@ class Frame:
 
 
 @dataclass(frozen=True)
-class FocalSet:
-    """Subset of a frame; equality is set equality via the canonical bitmask."""
-
-    frame: Frame
-    bits: int
-
-    @classmethod
-    def of(cls, frame: Frame, members: Iterable[str]) -> "FocalSet":
-        return cls(frame, frame.bits_of(members))
-
-    @property
-    def members(self) -> tuple[str, ...]:
-        return self.frame.members_of(self.bits)
-
-
-@dataclass(frozen=True, eq=False)
 class MassFunction:
     """Basic probability assignment: positive masses on nonempty subsets, summing to 1."""
 
     frame: Frame
     masses: dict[int, float]  # bitmask -> mass; treated as immutable after construction
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MassFunction):
-            return NotImplemented
-        return self.frame == other.frame and self.masses == other.masses
-
     def items(self):
-        """Iterate ``(FocalSet, mass)`` pairs in canonical (bitmask) order."""
+        """Iterate ``(members, mass)`` pairs, members as a tuple in frame order,
+        in canonical (bitmask) order whatever order the masses were given in."""
         for bits in sorted(self.masses):
-            yield FocalSet(self.frame, bits), self.masses[bits]
+            yield self.frame.members_of(bits), self.masses[bits]
 
-    def mass(self, members: Iterable[str] | FocalSet) -> float:
-        bits = members.bits if isinstance(members, FocalSet) else self.frame.bits_of(members)
-        return self.masses.get(bits, 0.0)
+    def mass(self, members: Iterable[str]) -> float:
+        return self.masses.get(self.frame.bits_of(members), 0.0)
 
     @property
     def theta_mass(self) -> float:
         return self.masses.get(self.frame.full_bits, 0.0)
 
 
-def make_mass(frame: Frame, entries: Sequence[tuple[Iterable[str] | FocalSet, float]]) -> MassFunction:
+def make_mass(frame: Frame, entries: Sequence[tuple[Iterable[str], float]]) -> MassFunction:
     """Build a validated mass function; zero entries dropped, duplicates merged.
 
     Masses may sum to 1 within ``MASS_TOL``. Decimal masses that sum to 1
@@ -135,7 +114,7 @@ def make_mass(frame: Frame, entries: Sequence[tuple[Iterable[str] | FocalSet, fl
             raise ValidationError(f"negative mass {value}")
         if value == 0:
             continue
-        bits = subset.bits if isinstance(subset, FocalSet) else frame.bits_of(subset)
+        bits = frame.bits_of(subset)
         if bits == 0:
             raise ValidationError("empty focal set with positive mass")
         masses[bits] = masses.get(bits, 0.0) + value

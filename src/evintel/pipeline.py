@@ -82,7 +82,7 @@ class PipelineResult:
     partition: Partition
     metaconflict: MetaConflictReport
     membership: specify.MembershipSpecification | None
-    posterior: posterior.PosteriorDistribution | None
+    posterior: dict[int, float] | None  # count -> probability
     track_results: tuple[TrackResult, ...] | None
     decision: DecisionResult | None
     warnings: tuple[str, ...] = field(default_factory=tuple)
@@ -184,8 +184,9 @@ def load_document(path: str | FilePath) -> dict:
     return doc
 
 
-def parse_decision(doc: dict, where: str = "input") -> tuple[dict[str, float], list[decide.DecisionMaker]] | None:
-    """The optional decision section: utilities plus per-maker choice bpas."""
+def parse_decision(doc: dict, where: str = "input") -> list[decide.DecisionMaker] | None:
+    """The optional decision section's makers, each choice's bpa already
+    reduced to its expected-utility interval; None without a section."""
     section = doc.get("decision")
     if section is None:
         return None
@@ -230,7 +231,7 @@ def parse_decision(doc: dict, where: str = "input") -> tuple[dict[str, float], l
         makers.append(decide.DecisionMaker(mid, tuple(choices)))
     if not makers:
         raise ValidationError(f"{where}: decision section has no decision makers")
-    return utilities, makers
+    return makers
 
 
 def _track_block(
@@ -272,9 +273,7 @@ def _stage(name: str, fn, *args):
         raise StageError(name, exc) from exc
 
 
-def _posterior(
-    corpus: EvidenceCorpus, partition: Partition, prior: DomainPrior
-) -> posterior.PosteriorDistribution:
+def _posterior(corpus: EvidenceCorpus, partition: Partition, prior: DomainPrior) -> dict[int, float]:
     supports = [posterior.subset_support(corpus, b) for b in partition.blocks]
     return posterior.posterior_distribution(posterior.counting_bpa(supports), prior)
 
@@ -287,7 +286,7 @@ def run_pipeline(
     corpus: EvidenceCorpus,
     prior: DomainPrior,
     cfg: PipelineConfig = PipelineConfig(),
-    decision: tuple[dict[str, float], list[decide.DecisionMaker]] | None = None,
+    decision: list[decide.DecisionMaker] | None = None,
     stages: frozenset[str] = ALL_STAGES,
 ) -> PipelineResult:
     """cluster -> specify -> posterior -> per-cluster tracks -> optional decision."""
@@ -295,7 +294,7 @@ def run_pipeline(
     membership = _stage("specify", specify.specify_corpus, partition, prior) if "specify" in stages else None
     post = _stage("posterior", _posterior, corpus, partition, prior) if "posterior" in stages else None
     track_results = _stage("tracks", _track_blocks, corpus, partition, cfg) if "tracks" in stages else None
-    decision_result = _stage("decide", analyze_decision, decision[1], cfg.rho) if decision is not None else None
+    decision_result = _stage("decide", analyze_decision, decision, cfg.rho) if decision is not None else None
     warnings = tuple(
         f"block {tr.block}: report {rid!r} lacks time/pos, not tracked"
         for tr in track_results or ()
@@ -362,7 +361,7 @@ def result_to_json(result: PipelineResult) -> dict:
     if result.membership is not None:
         doc["membership"] = _membership_json(result.membership)
     if result.posterior is not None:
-        doc["posterior"] = {str(r): p for r, p in sorted(result.posterior.probabilities.items())}
+        doc["posterior"] = {str(r): p for r, p in result.posterior.items()}
     if result.track_results is not None:
         doc["tracks"] = _tracks_json(result.track_results)
     if result.decision is not None:
@@ -414,7 +413,7 @@ def format_result(result: PipelineResult) -> str:
     parts.append(_table(rows, ["block", "size", "conflict", "reports"]))
 
     if result.posterior is not None:
-        rows = [[str(r), f"{p:.6f}"] for r, p in sorted(result.posterior.probabilities.items())]
+        rows = [[str(r), f"{p:.6f}"] for r, p in result.posterior.items()]
         parts.append("\nPosterior over number of events")
         parts.append(_table(rows, ["count", "probability"]))
 

@@ -29,11 +29,6 @@ class CountingBpa:
         return len(self.at_least)
 
 
-@dataclass(frozen=True)
-class PosteriorDistribution:
-    probabilities: dict[int, float]  # count -> probability, one entry per count the prior lists
-
-
 def subset_support(corpus: EvidenceCorpus, block: Iterable[str]) -> float:
     """s = 1 - prod of frame masses over the block's reports."""
     ids = list(block)
@@ -61,14 +56,15 @@ def counting_bpa(supports: Sequence[float]) -> CountingBpa:
     return CountingBpa(tuple(pmf[1:]), pmf[0])
 
 
-def posterior_distribution(cb: CountingBpa, prior: DomainPrior) -> PosteriorDistribution:
+def posterior_distribution(cb: CountingBpa, prior: DomainPrior) -> dict[int, float]:
     """Dempster combination of the counting bpa with a Bayesian count prior.
 
     Since the prior is Bayesian the result is Bayesian:
     P(r) is proportional to prior(r) * (vacuous + sum of mass("at least k") for k <= r).
-    The result has one entry per count the prior lists, in ascending order; a
-    count the prior leaves out has probability 0 and no entry, so the work
-    grows with the prior's entries, not with its largest count.
+    The result maps each count the prior lists to its probability, in
+    ascending order of count; a count the prior leaves out has probability 0
+    and no entry, so the work grows with the prior's entries, not with its
+    largest count.
     """
     r_max = prior.r_max
     if cb.n > r_max:
@@ -82,4 +78,4 @@ def posterior_distribution(cb: CountingBpa, prior: DomainPrior) -> PosteriorDist
     total = math.fsum(unnorm.values())
     if total <= 0.0:
         raise ValidationError("prior is incompatible with every supported count")
-    return PosteriorDistribution({r: v / total for r, v in unnorm.items()})
+    return {r: v / total for r, v in unnorm.items()}

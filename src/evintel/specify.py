@@ -30,7 +30,6 @@ BlockKey = int | str  # block index within the partition, or NEW_BLOCK
 
 @dataclass(frozen=True)
 class MembershipEvidence:
-    report_id: str
     against: dict[BlockKey, float]
     domain_component: dict[BlockKey, float]
 
@@ -100,7 +99,7 @@ def _membership(
     # fresh block: no cluster conflict is possible in a singleton
     against[NEW_BLOCK] = 0.0
     domain[NEW_BLOCK] = 0.0 if origin_empties else domain_delta(n + 1)
-    return MembershipEvidence(report_id, against, domain)
+    return MembershipEvidence(against, domain)
 
 
 def membership_evidence(partition: Partition, prior: DomainPrior, report_id: str) -> MembershipEvidence:

@@ -171,10 +171,10 @@ def test_c5_posterior_correctness():
         direct = posterior_distribution(cb, prior)
         via_ds, _ = combine_dempster(counting_to_mass(cb, r_max), prior_to_mass(prior))
         for r in range(1, r_max + 1):
-            assert abs(direct.probabilities[r] - via_ds.mass((str(r),))) <= 1e-9
+            assert abs(direct[r] - via_ds.mass((str(r),))) <= 1e-9
 
     prior = DomainPrior({1: 0.2, 2: 0.5, 3: 0.3})
-    assert posterior_distribution(CountingBpa((), 1.0), prior).probabilities == prior.probabilities
+    assert posterior_distribution(CountingBpa((), 1.0), prior) == prior.probabilities
 
     elapsed = time.perf_counter() - start
     _passed("5", "counting vs 2^n, posterior vs combination, vacuous identity", elapsed)

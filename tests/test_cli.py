@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -457,6 +458,27 @@ class TestDecide:
         doc = json.loads(out.read_text())
         assert doc["decision"]["assignment"] == {"dm1": "X", "dm2": "Y"}
         assert sum(doc["decision"]["preferences"].values()) == pytest.approx(1.0)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_COMMANDS = ("gen", "pipeline", "cluster", "specify", "posterior", "tracks", "decide", "oracle-check")
+
+
+def readme_block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block after the README line ``heading``."""
+    after = README.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
+    return after.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadme:
+    def test_cli_walk_through_exits_0(self, tmp_path, monkeypatch):
+        """Every line of the README's CLI block, on the README's own example.json."""
+        (tmp_path / "example.json").write_text(readme_block("### Corpus file", "json"), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        commands = [shlex.split(line, comments=True) for line in readme_block("## CLI", "sh").splitlines()]
+        assert [argv[:2] for argv in commands] == [["evintel", c] for c in README_COMMANDS]
+        for argv in commands:
+            assert main(argv[1:]) == 0, argv
 
 
 class TestDeterminism:

@@ -35,6 +35,15 @@ class TestExpectedInterval:
         c = expected_interval(UtilityBpa(m, UTILS))
         assert c.e_low == c.e_high == pytest.approx(0.625)
 
+    def test_interval_does_not_depend_on_listing_order(self):
+        # summed in listing order, 0.7 + 0.2 + 0.1 gives 0.9999999999999999
+        frame = Frame(("good", "bad", "draw"))
+        listed = [(("draw",), 0.7), (("bad",), 0.2), (("good",), 0.1)]
+        utilities = dict.fromkeys(frame.elements, 1.0)
+        for entries in (listed, listed[::-1]):
+            c = expected_interval(UtilityBpa(make_mass(frame, entries), utilities))
+            assert c.e_low == c.e_high == 1.0
+
     def test_vacuous_spans_utilities(self):
         c = expected_interval(UtilityBpa(vacuous(UTIL_FRAME), UTILS))
         assert (c.e_low, c.e_high) == (0.0, 1.0)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from conftest import masses
 from evintel.ds import (
     PRUNE_EPS,
-    FocalSet,
     Frame,
     MassFunction,
     TotalConflictError,
@@ -49,8 +48,9 @@ class TestFrame:
             Frame(("A", "A"))
 
     def test_subset_encoding_is_order_independent(self):
-        assert FocalSet.of(AB, ("A", "B")) == FocalSet.of(AB, ("B", "A"))
-        assert FocalSet.of(AB, ("A",)).members == ("A",)
+        assert AB.bits_of(("A", "B")) == AB.bits_of(("B", "A"))
+        assert AB.members_of(AB.bits_of(("B", "A"))) == ("A", "B")
+        assert AB.members_of(AB.bits_of(("A",))) == ("A",)
 
     def test_unknown_element(self):
         with pytest.raises(ValidationError, match="unknown frame element"):

@@ -110,9 +110,8 @@ class TestParseDecision:
                 }
             ],
         }
-        parsed = parse_decision(doc_with([report_raw("r1", GOOD_MASSES)], decision=decision))
-        assert parsed is not None
-        _, makers = parsed
+        makers = parse_decision(doc_with([report_raw("r1", GOOD_MASSES)], decision=decision))
+        assert makers is not None
         assert makers[0].choices[0].e_low == 1.0
         assert makers[0].choices[1].e_low == 0.0
         assert makers[0].choices[1].e_high == 1.0
@@ -161,8 +160,8 @@ class TestRunPipeline:
         assert result.partition.n_blocks == 3
         _, best = exhaustive_search(corpus, prior)
         assert result.metaconflict.mcf == pytest.approx(best.mcf, abs=1e-9)
-        probabilities = result.posterior.probabilities
-        assert max(probabilities, key=lambda r: (probabilities[r], -r)) == 3
+        post = result.posterior
+        assert max(post, key=lambda r: (post[r], -r)) == 3
         assert result.membership is not None
         assert len(result.track_results) == 3
 

@@ -86,24 +86,24 @@ class TestCountingBpa:
 class TestPosterior:
     def test_worked_example(self):
         post = posterior_distribution(counting_bpa([0.8, 0.5]), DomainPrior.uniform(3))
-        assert post.probabilities[1] == pytest.approx(0.6 / 2.6, abs=1e-9)
-        assert post.probabilities[2] == pytest.approx(1.0 / 2.6, abs=1e-9)
-        assert post.probabilities[3] == pytest.approx(1.0 / 2.6, abs=1e-9)
+        assert post[1] == pytest.approx(0.6 / 2.6, abs=1e-9)
+        assert post[2] == pytest.approx(1.0 / 2.6, abs=1e-9)
+        assert post[3] == pytest.approx(1.0 / 2.6, abs=1e-9)
 
     def test_vacuous_returns_prior(self):
         prior = DomainPrior({1: 0.2, 2: 0.5, 3: 0.3})
         post = posterior_distribution(CountingBpa((), 1.0), prior)
-        assert post.probabilities == prior.probabilities
+        assert post == prior.probabilities
 
     def test_gapped_prior_keeps_the_floats_of_its_counts(self):
         cb = counting_bpa([0.8, 0.5])
         gapped = posterior_distribution(cb, DomainPrior({1: 0.25, 4: 0.75}))
         filled = posterior_distribution(cb, DomainPrior({1: 0.25, 2: 0.0, 3: 0.0, 4: 0.75}))
-        assert gapped.probabilities == {1: filled.probabilities[1], 4: filled.probabilities[4]}
+        assert gapped == {1: filled[1], 4: filled[4]}
 
     def test_certain_prior(self):
         post = posterior_distribution(counting_bpa([0.8, 0.5]), DomainPrior({1: 0.0, 2: 1.0}))
-        assert post.probabilities[2] == pytest.approx(1.0)
+        assert post[2] == pytest.approx(1.0)
 
     def test_block_count_beyond_prior(self):
         with pytest.raises(ValidationError, match="at most"):
@@ -127,7 +127,7 @@ class TestPosterior:
             direct = posterior_distribution(cb, prior)
             combined, _ = combine_dempster(counting_to_mass(cb, r_max), prior_to_mass(prior))
             for r in range(1, r_max + 1):
-                assert direct.probabilities[r] == pytest.approx(
+                assert direct[r] == pytest.approx(
                     combined.mass((str(r),)), abs=1e-9
                 )
 
@@ -136,12 +136,12 @@ class TestPosterior:
         prior = DomainPrior.uniform(6)
         for _ in range(100):
             supports = [rng.random() for _ in range(rng.randint(1, 5))]
-            post = posterior_distribution(counting_bpa(supports), prior).probabilities
+            post = posterior_distribution(counting_bpa(supports), prior)
             base = math.fsum(r * p for r, p in post.items())
             i = rng.randrange(len(supports))
             bumped = list(supports)
             bumped[i] = min(1.0, bumped[i] + rng.random() * (1.0 - bumped[i]))
-            post = posterior_distribution(counting_bpa(bumped), prior).probabilities
+            post = posterior_distribution(counting_bpa(bumped), prior)
             raised = math.fsum(r * p for r, p in post.items())
             assert raised >= base - 1e-12
 
