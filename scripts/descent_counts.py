@@ -4,7 +4,10 @@ descent) per search: descents (calls of ``_descend``; a restart whose start
 repeats an earlier one runs none), full fold steps, conflict-only fold steps
 and k-term products (calls of ``math.prod`` in ``cluster``, each over the
 survival factors of a partition's k blocks). Then count the fold steps and
-the branch-and-bound nodes of ``exhaustive_search`` on the same corpora.
+the branch-and-bound nodes of ``exhaustive_search`` on the same corpora, and
+the fold steps of ``specify_corpus`` on the partitions ``partition_search``
+returns: its full steps fold block chains, and its conflict-only steps are
+one-step values of blocks with a report added.
 
 Every visit of ``_branch_and_bound`` calls ``math.prod`` exactly once, for
 the survival of its open blocks, which an inner node's bound and a leaf's
@@ -32,6 +35,7 @@ from evintel.ds import Frame
 from evintel.oracle import random_mass, separable_corpus
 from evintel.pipeline import parse_document
 from evintel.scenario import ScenarioConfig, generate_scenario_doc
+from evintel.specify import specify_corpus
 
 LADDER = [(3, 4), (4, 6), (5, 6), (6, 8), (8, 8), (10, 10)]
 TRACK_DESK_RUNGS = [(2, 6), (3, 6), (2, 10)]
@@ -67,7 +71,8 @@ def counting():
 
 
 def count(search, corpora) -> list[float]:
-    """Mean descents, full fold steps, conflict-only fold steps and ``math.prod`` calls per search."""
+    """Mean descents, full fold steps, conflict-only fold steps and ``math.prod``
+    calls per call of ``search`` on each (corpus or partition, prior) pair."""
     with counting() as counts:
         for corpus, prior in corpora:
             search(corpus, prior)
@@ -109,17 +114,21 @@ def main() -> None:
     rows = [(f"gen --seed {args.seed} {t}x{p}", [scenario(args.seed, t, p)]) for t, p in LADDER]
     rows.append(("exhaustive-check, 10 corpora", exhaustive_check_corpora(args.seed)))
     rows.append(("track-desk, 12 corpora", track_desk_corpora(args.seed)))
-    print(f"{'':<30} {'partition_search':^53}   {'exhaustive_search':^36}".rstrip())
+    print(f"{'':<30} {'partition_search':^53}   {'exhaustive_search':^36}   {'specify_corpus':^26}".rstrip())
     print(
         f"{'corpora':<30} {'descents':>9} {'full folds':>11} {'conflict-only':>14} {'k-term products':>16}"
-        f"   {'full folds':>11} {'conflict-only':>14} {'nodes':>9}   (per search)"
+        f"   {'full folds':>11} {'conflict-only':>14} {'nodes':>9}"
+        f"   {'full folds':>11} {'conflict-only':>14}   (per call)"
     )
     for label, corpora in rows:
         descents, full, last, products = count(partition_search, corpora)
         _, exact_full, exact_last, calls = count(exhaustive_search, corpora)
+        partitions = [(partition_search(corpus, prior)[0], prior) for corpus, prior in corpora]
+        _, specify_full, specify_last, _ = count(specify_corpus, partitions)
         print(
             f"{label:<30} {descents:>9.1f} {full:>11.1f} {last:>14.1f} {products:>16.1f}"
             f"   {exact_full:>11.1f} {exact_last:>14.1f} {calls - 1:>9.1f}"
+            f"   {specify_full:>11.1f} {specify_last:>14.1f}"
         )
 
 

@@ -229,20 +229,19 @@ class BlockState:
     - The canonical one is ``1 - survival`` of the whole prefix chain, the
       one fold ``cluster_conflict`` runs. A state looks its members up when
       built and after each toggle, folding the chain on a miss, and
-      ``conflict()`` reads the entry. ``toggled(j)`` toggles j, reads it and
-      toggles j back, so the block +/- j is stored under its own members.
-      ``specify`` prints these values.
+      ``conflict()`` reads the entry.
     - ``moved(j)``, the conflict of the block with report j added, or removed
       if j is a member, takes at most one ``_fold_step``, since Dempster
       normalizers compose: an add is the whole prefix chain's state combined
       with j, conflict-only; a removal is the prefix before j combined with
       the suffix after it, their survivals multiplied, and the removal of the
       first or last member is a chain state as it is. The value equals
-      ``toggled(j)`` up to rounding and the ``PRUNE_EPS`` dust each fold
-      order drops, for masses that sum to 1 within rounding, as ``make_mass``
-      makes them. It depends only on the block's members and j, and is kept
-      in the store's entry for the members. The descent scores its moves
-      this way.
+      ``cluster_conflict`` of the block +/- j up to rounding and the
+      ``PRUNE_EPS`` dust each fold order drops, for masses that sum to 1
+      within rounding, as ``make_mass`` makes them. It depends only on the
+      block's members and j, and is kept in the store's entry for the
+      members. The descent scores its moves this way, and ``specify``
+      grades memberships by these values.
     """
 
     __slots__ = ("corpus", "members", "chain", "suffix", "store", "values")
@@ -293,14 +292,6 @@ class BlockState:
     def conflict(self) -> float:
         """``cluster_conflict`` of the block."""
         return self.values[0]
-
-    def toggled(self, j: int) -> float:
-        """``cluster_conflict`` of the block with report j added, or removed if
-        it is a member; the block must keep at least one member."""
-        self.toggle(j)
-        c = self.conflict()
-        self.toggle(j)
-        return c
 
     def moved(self, j: int) -> float:
         """Conflict of the block with report j added, or removed if it is a

@@ -60,6 +60,7 @@ from .ds import (
     vacuous,
 )
 from .posterior import CountingBpa, counting_bpa, posterior_distribution
+from .specify import NEW_BLOCK, specify_corpus
 from .tracks import (
     Path,
     TrackGraph,
@@ -140,6 +141,40 @@ def reference_conflicts(corpus: EvidenceCorpus):
         return c
 
     return conflict_of
+
+
+def reference_memberships(partition: Partition, prior: DomainPrior) -> dict[str, dict]:
+    """``specify_corpus``'s plausibilities by the formulas in the ``specify``
+    module docstring, with every block conflict, j added or removed, from
+    ``reference_conflict``. Per report and block key: (plausibility, d),
+    where d is the denominator 1 - c of the entry's conflict ratio, 1.0 for
+    the fresh block, which has none."""
+    conflict_of = reference_conflicts(partition.corpus)
+    n = partition.n_blocks
+    c0 = domain_conflict(n, prior)
+
+    def ratio(delta: float, d: float) -> float:
+        return 1.0 if d <= 0.0 else min(1.0, max(0.0, delta / d))
+
+    def domain(new_n: int) -> float:
+        return 0.0 if c0 >= 1.0 else ratio(domain_conflict(new_n, prior) - c0, 1.0 - c0)
+
+    memberships = {}
+    for rid in partition.corpus.ids:
+        own = partition.block_of(rid)
+        alone = len(partition.blocks[own]) == 1
+        values: dict = {}
+        for k, block in enumerate(partition.blocks):
+            c = conflict_of(block)
+            if k == own:
+                without = conflict_of(r for r in block if r != rid)
+                values[k] = (1.0 - ratio(c - without, 1.0 - without), 1.0 - without)
+            else:
+                against = ratio(conflict_of((*block, rid)) - c, 1.0 - c)
+                values[k] = ((1.0 - against) * (1.0 - (domain(n - 1) if alone else 0.0)), 1.0 - c)
+        values[NEW_BLOCK] = (1.0 - (0.0 if alone else domain(n + 1)), 1.0)
+        memberships[rid] = values
+    return memberships
 
 
 def enumerate_conflict(ms: Sequence[MassFunction]) -> float:
@@ -866,6 +901,43 @@ def check_partition_descent_spread(seed: int, trials: int) -> CheckResult:
     return CheckResult("partition descent vs reference, spread masses", mismatches == 0, float(mismatches))
 
 
+def check_specify(seed: int, trials: int) -> CheckResult:
+    """``specify_corpus`` vs ``reference_memberships`` on random partitions of
+    mixed, separable and ``random_spread_mass`` corpora with random priors.
+    Each plausibility may differ by ``16 * PRUNE_EPS / d``: the dust of the
+    two conflicts in its ratio over the ratio's denominator d. Where d is at
+    most ``16 * PRUNE_EPS`` that allows anything, so such a value is only
+    checked to lie in [0, 1], and the name counts them."""
+    rng = random.Random(seed)
+    frame = Frame(("A", "B", "C", "D"))
+    max_dev, failures, skipped = 0.0, 0, 0
+    for t in range(trials):
+        n = rng.randint(1, 10)
+        if t % 3 == 0:
+            corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=0.25, vacuous_share=0.1)
+        elif t % 3 == 1:
+            corpus, _ = separable_corpus(rng, n_reports=max(n, 3), n_groups=3)
+        else:
+            orders = rng.choice((8.0, 14.0))
+            reports = tuple(Report(f"e{i:02d}", random_spread_mass(frame, rng, orders=orders)) for i in range(n))
+            corpus = EvidenceCorpus(frame, reports)
+        n = len(corpus.reports)
+        prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.3)
+        partition = make_partition(corpus, _random_start(corpus, prior, rng))
+        plausibility = specify_corpus(partition, prior).plausibility
+        for rid, values in reference_memberships(partition, prior).items():
+            for key, (expected, d) in values.items():
+                value = plausibility[rid][key]
+                if d <= 16 * PRUNE_EPS:
+                    skipped += 1
+                    failures += not 0.0 <= value <= 1.0
+                else:
+                    dev = abs(value - expected)
+                    max_dev = max(max_dev, dev)
+                    failures += dev > 16 * PRUNE_EPS / d
+    return CheckResult(f"specify vs reference conflicts ({skipped} range-only)", failures == 0, max_dev)
+
+
 def check_game_solver(seed: int, trials: int) -> CheckResult:
     """``games_agree`` on tie-heavy random games of up to 4 makers x 4 choices."""
     rng = random.Random(seed)
@@ -890,4 +962,5 @@ def run_all_checks(seed: int = 0, trials: int = 25) -> list[CheckResult]:
         check_dempster_step(seed + 10, trials),
         check_game_solver(seed + 11, trials),
         check_partition_descent_spread(seed + 12, trials),
+        check_specify(seed + 13, trials),
     ]

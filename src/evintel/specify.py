@@ -11,6 +11,16 @@ singleton origin) additionally contribute a domain component computed the same
 way from the domain conflict. The two components fuse with the usual
 1 - (1-a)(1-b) rule; membership plausibility is their complement.
 
+c_i and c_k are canonical block conflicts (``BlockState.conflict()``, the
+fold ``cluster_conflict`` runs). The block with j removed or added is
+``BlockState.moved(j)``: one fold step from the block's chains, the value
+the descent scores moves by. It equals ``cluster_conflict`` of that member
+set up to rounding and the ``PRUNE_EPS`` dust each fold order drops. Each
+ratio divides by its denominator 1 - c, so a value can move by that dust
+over 1 - c; near total conflict that is the conditioning the ratio has
+against exact arithmetic anyway. ``oracle-check`` holds every value within
+``16 * PRUNE_EPS / (1 - c)`` of the one built from reference conflicts.
+
 The pipeline reports these plausibilities and weights; no later stage reads
 them (the track stage gives each block member vertex mass 1 - m(frame),
 whatever its membership).
@@ -65,11 +75,10 @@ def _membership(
 ) -> MembershipEvidence:
     """``membership_evidence`` over the partition's block states.
 
-    A saturated block (conflict 1.0) gets against 1.0 without its +/- j
-    conflict. ``_ratio`` gives the same value, since it maps a zero
-    denominator to 1.0 and x / x is 1.0, so the shortcut changes no value; it
-    only skips refolding saturated blocks with j toggled, which would make up
-    most of the time on corpora with saturated plateau blocks.
+    A saturated block (conflict 1.0) gets against 1.0 either way: ``_ratio``
+    maps a zero denominator to 1.0, and a saturated chain makes ``moved``'s
+    add step free. Its own members get 1.0 without ``moved``, which changes
+    no value (x / x is 1.0) but skips folding the block's suffix chain.
     """
     j = partition.corpus.index_of(report_id)
     own = partition.block_of(report_id)
@@ -88,14 +97,11 @@ def _membership(
         c_k = state.conflict()
         if k == own:
             domain[k] = 0.0
-            if c_k == 1.0:
-                against[k] = 1.0
-            else:
-                c_removed = 0.0 if origin_empties else state.toggled(j)
-                against[k] = _ratio(c_k - c_removed, 1.0 - c_removed)
+            c_removed = 0.0 if origin_empties or c_k == 1.0 else state.moved(j)
+            against[k] = _ratio(c_k - c_removed, 1.0 - c_removed)
         else:
             domain[k] = domain_delta(n - 1) if origin_empties else 0.0
-            against[k] = 1.0 if c_k == 1.0 else _ratio(state.toggled(j) - c_k, 1.0 - c_k)
+            against[k] = _ratio(state.moved(j) - c_k, 1.0 - c_k)
     # fresh block: no cluster conflict is possible in a singleton
     against[NEW_BLOCK] = 0.0
     domain[NEW_BLOCK] = 0.0 if origin_empties else domain_delta(n + 1)
@@ -110,12 +116,11 @@ def membership_evidence(partition: Partition, prior: DomainPrior, report_id: str
 def specify_corpus(partition: Partition, prior: DomainPrior) -> MembershipSpecification:
     """Membership plausibilities and per-report weights for every report and block.
 
-    Each block's state is built once, and every +/- j conflict is the
-    canonical prefix chain's value for the block with j toggled
-    (``BlockState.toggled``), refolded from j's position on: every value is
-    ``cluster_conflict``'s, bit for bit, not the search's one-step estimate.
-    Each state's store holds these values for this call only; nothing is
-    kept once the call returns.
+    Each block's state is built once, and every +/- j conflict is its
+    ``BlockState.moved(j)``, one fold step from the block's prefix and
+    suffix chains (see the module docstring for how far that is from
+    ``cluster_conflict``). Each state's store holds these values for this
+    call only; nothing is kept once the call returns.
     """
     plausibility: dict[str, dict[BlockKey, float]] = {}
     weights: dict[str, dict[int, float]] = {}

@@ -512,6 +512,31 @@ class TestOracleCheck:
             run_all_checks(trials=trials)
 
 
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+def run_python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(evintel.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+class TestSubprocessRuns:
+    """The example scripts and the oracle cross-checks, each in a fresh
+    interpreter as a user runs them."""
+
+    @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
+    def test_example_script_exits_0(self, script, tmp_path):
+        done = run_python(str(script), cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("args", [(), ("--trials", "100", "--seed", "7")])
+    def test_oracle_check_reports_every_entry_ok(self, args, tmp_path):
+        done = run_python("-m", "evintel.cli", "oracle-check", *args, cwd=tmp_path)
+        assert done.returncode == 0, done.stdout + done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 14 and all(line.startswith("ok  ") for line in lines)
+
+
 # every reference route that lives in oracle.py, by the production module it left
 ORACLE_NAMES = {
     tracks: ("combine_oracle", "TrackAnalysis", "OracleSizeError", "ORACLE_VERTEX_LIMIT", "_evidence_focals", "_bits_to_path"),

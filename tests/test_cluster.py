@@ -604,7 +604,6 @@ class TestIncrementalDescent:
                 toggled = set(members) ^ {j}
                 if toggled:
                     c = expected(toggled)
-                    assert state.toggled(j) == c
                     totals += c == 1.0
             for j in rng.sample(range(len(ids)), len(ids)):
                 if len(state.members) > 1 or state.members != [j]:
@@ -612,7 +611,7 @@ class TestIncrementalDescent:
                     assert state.conflict() == expected(state.members)
         assert totals > 0
 
-    def test_toggled_is_one_when_the_last_step_saturates(self):
+    def test_moved_is_one_when_the_last_step_saturates(self):
         # rounding: e1 and e2 leave survival about 2e-11 and e3 about 2e-22, so
         # 1 - survival is 1.0 although no step raises; raising: e1 and e2 leave
         # all mass on A, and e3 puts all of it on B. The vacuous report lets the
@@ -636,8 +635,7 @@ class TestIncrementalDescent:
             else:
                 assert e3 is rounding[2]
                 assert c3 < 1 - 1e-12 and 1.0 - (1.0 - c12) * (1.0 - c3) == 1.0
-            assert state(0, 1).toggled(3) == 1.0
-            assert state(0, 1, 2, 3).toggled(2) == 1.0
+            assert cluster_conflict(corpus, ["e1", "e2", "e3"]) == 1.0  # (e1, e2) + e3, and (e1, e2, v, e3) - v
             assert state(0, 1).moved(3) == 1.0  # the whole prefix chain's state plus e3
             assert state(0, 1, 2, 3).moved(2) == 1.0  # prefix (e1, e2) plus suffix (e3)
             assert state(0, 1, 3).conflict() == 1.0
@@ -668,8 +666,8 @@ class TestIncrementalDescent:
     def test_moved_after_toggles_matches_a_fresh_state(self):
         # both chains are grown in full, then cut by a toggle and regrown on
         # demand; every value must be the one a state built from scratch gives.
-        # toggled toggles a report and back, so it must leave the state as it
-        # found it, apart from the chains it cut
+        # Toggling a report and back must leave the state as it found it,
+        # apart from the chains it cut
         rng = random.Random(107)
         for _ in range(40):
             n = rng.randint(2, 9)
@@ -681,7 +679,8 @@ class TestIncrementalDescent:
                 for j in range(n):
                     k = rng.randrange(n)
                     if state.members != [k]:
-                        state.toggled(k)
+                        state.toggle(k)
+                        state.toggle(k)
                     assert state.members == fresh.members
                     assert state.conflict() == fresh.conflict()
                     if state.members != [j]:
@@ -707,7 +706,7 @@ class TestIncrementalDescent:
             c = state.conflict()
             for j in set(range(n)) - set(members):
                 assert state.moved(j) >= c
-                falls += state.toggled(j) < c
+                falls += cluster_conflict(corpus, [corpus.ids[i] for i in members + [j]]) < c
                 pairs += 1
         assert pairs > 500 and falls > 0  # the data reaches the dust
 

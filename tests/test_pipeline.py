@@ -341,4 +341,4 @@ def test_pipeline_outputs_are_pinned():
     result = run_pipeline(corpus, prior, PipelineConfig(rho=0.5), decision=parse_decision(PINNED_DECISION_DOC))
     digest.update(render_json(result_to_json(result)).encode())
     digest.update(format_result(result).encode())
-    assert digest.hexdigest() == "1f5413140f6effca975218b76aede632a5bcb129851e65610e4fd71559fc7437"
+    assert digest.hexdigest() == "cf6bba16f247587c089f7d59bd303193083774f5ab34c7474a84b335408ffbf2"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evintel.cluster import DomainPrior, EvidenceCorpus, Report
-from evintel.ds import Frame, ValidationError, combine_dempster, make_mass, vacuous
+from evintel.ds import Frame, ValidationError, make_mass, vacuous
 from evintel.oracle import counting_bpa_enumeration, counting_to_mass, prior_to_mass
 from evintel.posterior import (
     CountingBpa,
@@ -113,23 +113,6 @@ class TestPosterior:
         prior = DomainPrior({1: 1.0, 2: 0.0})
         with pytest.raises(ValidationError, match="incompatible"):
             posterior_distribution(counting_bpa([1.0, 1.0]), prior)
-
-    def test_matches_mass_function_combination(self):
-        rng = random.Random(2)
-        for _ in range(50):
-            r_max = rng.randint(2, 6)
-            n = rng.randint(1, r_max)
-            supports = [rng.random() for _ in range(n)]
-            weights = [rng.random() + 1e-3 for _ in range(r_max)]
-            total = sum(weights)
-            prior = DomainPrior({r + 1: w / total for r, w in enumerate(weights)})
-            cb = counting_bpa(supports)
-            direct = posterior_distribution(cb, prior)
-            combined, _ = combine_dempster(counting_to_mass(cb, r_max), prior_to_mass(prior))
-            for r in range(1, r_max + 1):
-                assert direct[r] == pytest.approx(
-                    combined.mass((str(r),)), abs=1e-9
-                )
 
     def test_raising_support_never_lowers_mean(self):
         rng = random.Random(9)

@@ -56,6 +56,8 @@ class TestMembershipEvidence:
         part = make_partition(corpus, [["e1", "e2"], ["e3"]])
         ev = membership_evidence(part, DomainPrior.uniform(2), "e3")
         assert ev.against[0] == 1.0  # the target block is already in total conflict
+        for member in ("e1", "e2"):  # and so is its members' own block
+            assert membership_evidence(part, DomainPrior.uniform(2), member).against[0] == 1.0
 
     def test_domain_component_on_spawn(self):
         corpus = corpus_of(AB, ("e1", simple(AB, "A", 0.6)), ("e2", simple(AB, "A", 0.5)))
