@@ -50,9 +50,7 @@ from .posterior import (
 from .scenario import ScenarioConfig, generate_scenario
 from .specify import (
     NEW_BLOCK,
-    MembershipEvidence,
     MembershipSpecification,
-    membership_evidence,
     specify_corpus,
 )
 from .tracks import (

@@ -39,15 +39,6 @@ BlockKey = int | str  # block index within the partition, or NEW_BLOCK
 
 
 @dataclass(frozen=True)
-class MembershipEvidence:
-    against: dict[BlockKey, float]
-    domain_component: dict[BlockKey, float]
-
-    def total_against(self, key: BlockKey) -> float:
-        return 1.0 - (1.0 - self.against[key]) * (1.0 - self.domain_component[key])
-
-
-@dataclass(frozen=True)
 class MembershipSpecification:
     """Per report: membership plausibility per block (plus the fresh-block entry)
     and normalized weights over the partition's actual blocks."""
@@ -62,18 +53,14 @@ def _ratio(delta: float, denom: float) -> float:
     return min(1.0, max(0.0, delta / denom))
 
 
-def _block_states(partition: Partition) -> list[BlockState]:
-    corpus = partition.corpus
-    return [BlockState(corpus, sorted(map(corpus.index_of, b))) for b in partition.blocks]
-
-
-def _membership(
+def _plausibility(
     partition: Partition,
     prior: DomainPrior,
     states: list[BlockState],
     report_id: str,
-) -> MembershipEvidence:
-    """``membership_evidence`` over the partition's block states.
+) -> dict[BlockKey, float]:
+    """One report's membership plausibility per block index and for NEW_BLOCK,
+    from the partition's block states.
 
     A saturated block (conflict 1.0) gets against 1.0 either way: ``_ratio``
     maps a zero denominator to 1.0, and a saturated chain makes ``moved``'s
@@ -91,26 +78,22 @@ def _membership(
             return 0.0  # count already excluded; no move can add domain conflict
         return max(0.0, (domain_conflict(new_n, prior) - c0) / (1.0 - c0))
 
-    against: dict[BlockKey, float] = {}
-    domain: dict[BlockKey, float] = {}
+    def fused(a: float, d: float) -> float:
+        # 1 - (fused against); not (1 - a) * (1 - d), which can differ by an ulp
+        return 1.0 - (1.0 - (1.0 - a) * (1.0 - d))
+
+    pl: dict[BlockKey, float] = {}
     for k, state in enumerate(states):
         c_k = state.conflict()
         if k == own:
-            domain[k] = 0.0
             c_removed = 0.0 if origin_empties or c_k == 1.0 else state.moved(j)
-            against[k] = _ratio(c_k - c_removed, 1.0 - c_removed)
+            pl[k] = fused(_ratio(c_k - c_removed, 1.0 - c_removed), 0.0)
         else:
-            domain[k] = domain_delta(n - 1) if origin_empties else 0.0
-            against[k] = _ratio(state.moved(j) - c_k, 1.0 - c_k)
+            d = domain_delta(n - 1) if origin_empties else 0.0
+            pl[k] = fused(_ratio(state.moved(j) - c_k, 1.0 - c_k), d)
     # fresh block: no cluster conflict is possible in a singleton
-    against[NEW_BLOCK] = 0.0
-    domain[NEW_BLOCK] = 0.0 if origin_empties else domain_delta(n + 1)
-    return MembershipEvidence(against, domain)
-
-
-def membership_evidence(partition: Partition, prior: DomainPrior, report_id: str) -> MembershipEvidence:
-    """Metalevel against-membership masses for one report, per block and for "new"."""
-    return _membership(partition, prior, _block_states(partition), report_id)
+    pl[NEW_BLOCK] = fused(0.0, 0.0 if origin_empties else domain_delta(n + 1))
+    return pl
 
 
 def specify_corpus(partition: Partition, prior: DomainPrior) -> MembershipSpecification:
@@ -122,13 +105,12 @@ def specify_corpus(partition: Partition, prior: DomainPrior) -> MembershipSpecif
     ``cluster_conflict``). Each state's store holds these values for this
     call only; nothing is kept once the call returns.
     """
+    corpus = partition.corpus
     plausibility: dict[str, dict[BlockKey, float]] = {}
     weights: dict[str, dict[int, float]] = {}
-    block_keys: list[BlockKey] = list(range(partition.n_blocks)) + [NEW_BLOCK]
-    states = _block_states(partition)
-    for report in partition.corpus.reports:
-        ev = _membership(partition, prior, states, report.id)
-        pl = {key: 1.0 - ev.total_against(key) for key in block_keys}
+    states = [BlockState(corpus, sorted(map(corpus.index_of, b))) for b in partition.blocks]
+    for report in corpus.reports:
+        pl = _plausibility(partition, prior, states, report.id)
         plausibility[report.id] = pl
         block_total = left_sum(pl[k] for k in range(partition.n_blocks))
         if block_total > 0.0:

@@ -14,7 +14,7 @@ from evintel.cluster import (
 )
 from evintel.ds import Frame
 from evintel.oracle import random_mass
-from evintel.specify import NEW_BLOCK, membership_evidence, specify_corpus
+from evintel.specify import NEW_BLOCK, specify_corpus
 
 FRAME = Frame(("a", "b", "c", "d"))
 
@@ -64,10 +64,7 @@ def test_membership_values_stay_in_unit_interval():
         part = random_partition(rng, corpus, 4)
         spec = specify_corpus(part, prior)
         for rid in corpus.ids:
-            ev = membership_evidence(part, prior, rid)
             for key in list(range(part.n_blocks)) + [NEW_BLOCK]:
-                assert 0.0 <= ev.against[key] <= 1.0
-                assert 0.0 <= ev.domain_component[key] <= 1.0
                 assert 0.0 <= spec.plausibility[rid][key] <= 1.0
             assert sum(spec.weights[rid].values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -99,16 +96,15 @@ def test_own_block_against_never_exceeds_rejoin_insertion():
     for _ in range(20):
         corpus = random_corpus(rng, rng.randint(3, 6))
         part = random_partition(rng, corpus, 3)
-        prior = DomainPrior.uniform(6)
+        pl = specify_corpus(part, DomainPrior.uniform(6)).plausibility
         for rid in corpus.ids:
             own = part.block_of(rid)
             block = part.blocks[own]
             rest = [r for r in block if r != rid]
             if not rest:
                 continue
-            ev = membership_evidence(part, prior, rid)
             c_rest = cluster_conflict(corpus, rest)
             c_full = cluster_conflict(corpus, block)
             if c_rest < 1.0:
                 expect = (c_full - c_rest) / (1.0 - c_rest)
-                assert ev.against[own] == pytest.approx(max(0.0, min(1.0, expect)), abs=1e-12)
+                assert 1.0 - pl[rid][own] == pytest.approx(max(0.0, min(1.0, expect)), abs=1e-12)

@@ -5,11 +5,7 @@ import pytest
 from evintel.cluster import DomainPrior, EvidenceCorpus, Report, cluster_conflict, make_partition
 from evintel.ds import Frame, ValidationError, make_mass, vacuous
 from evintel.oracle import separable_corpus
-from evintel.specify import (
-    NEW_BLOCK,
-    membership_evidence,
-    specify_corpus,
-)
+from evintel.specify import NEW_BLOCK, specify_corpus
 
 AB = Frame(("A", "B"))
 ABC = Frame(("A", "B", "C"))
@@ -27,8 +23,8 @@ class TestMembershipEvidence:
     def test_removal_worked_example(self):
         corpus = corpus_of(AB, ("e1", simple(AB, "A", 0.6)), ("e2", simple(AB, "B", 0.5)))
         part = make_partition(corpus, [["e1", "e2"]])
-        ev = membership_evidence(part, DomainPrior.uniform(2), "e2")
-        assert ev.against[0] == pytest.approx(0.3, abs=1e-12)
+        pl = specify_corpus(part, DomainPrior.uniform(2)).plausibility
+        assert pl["e2"][0] == pytest.approx(0.7, abs=1e-12)
 
     def test_compatible_insertion_is_free(self):
         corpus = corpus_of(
@@ -37,14 +33,14 @@ class TestMembershipEvidence:
             ("e2", simple(AB, "A", 0.5)),
         )
         part = make_partition(corpus, [["e1"], ["e2"]])
-        ev = membership_evidence(part, DomainPrior.uniform(2), "e2")
-        assert ev.against[0] == 0.0
+        pl = specify_corpus(part, DomainPrior.uniform(2)).plausibility
+        assert pl["e2"][0] == 1.0
 
     def test_insertion_worked_example(self):
         corpus = corpus_of(AB, ("e1", simple(AB, "A", 0.6)), ("e3", simple(AB, "B", 0.5)))
         part = make_partition(corpus, [["e1"], ["e3"]])
-        ev = membership_evidence(part, DomainPrior.uniform(2), "e3")
-        assert ev.against[0] == pytest.approx(0.3, abs=1e-12)
+        pl = specify_corpus(part, DomainPrior.uniform(2)).plausibility
+        assert pl["e3"][0] == pytest.approx(0.7, abs=1e-12)
 
     def test_total_preexisting_conflict_gives_full_against(self):
         corpus = corpus_of(
@@ -54,29 +50,30 @@ class TestMembershipEvidence:
             ("e3", simple(AB, "A", 0.5)),
         )
         part = make_partition(corpus, [["e1", "e2"], ["e3"]])
-        ev = membership_evidence(part, DomainPrior.uniform(2), "e3")
-        assert ev.against[0] == 1.0  # the target block is already in total conflict
+        pl = specify_corpus(part, DomainPrior.uniform(2)).plausibility
+        assert pl["e3"][0] == 0.0  # the target block is already in total conflict
         for member in ("e1", "e2"):  # and so is its members' own block
-            assert membership_evidence(part, DomainPrior.uniform(2), member).against[0] == 1.0
+            assert pl[member][0] == 0.0
 
     def test_domain_component_on_spawn(self):
         corpus = corpus_of(AB, ("e1", simple(AB, "A", 0.6)), ("e2", simple(AB, "A", 0.5)))
         part = make_partition(corpus, [["e1", "e2"]])
         prior = DomainPrior({1: 0.8, 2: 0.2})
-        ev = membership_evidence(part, prior, "e1")
-        # spawning moves the count 1 -> 2: c0 goes 0.2 -> 0.8
-        assert ev.domain_component[NEW_BLOCK] == pytest.approx((0.8 - 0.2) / 0.8)
-        assert ev.against[NEW_BLOCK] == 0.0
+        pl = specify_corpus(part, prior).plausibility
+        # spawning moves the count 1 -> 2: c0 goes 0.2 -> 0.8, a domain
+        # against of (0.8 - 0.2) / 0.8; a singleton adds no cluster conflict
+        assert pl["e1"][NEW_BLOCK] == pytest.approx(1.0 - (0.8 - 0.2) / 0.8)
 
     def test_domain_component_on_emptying(self):
         corpus = corpus_of(AB, ("e1", simple(AB, "A", 0.6)), ("e2", simple(AB, "B", 0.5)))
         part = make_partition(corpus, [["e1"], ["e2"]])
         prior = DomainPrior({1: 0.2, 2: 0.8})
-        ev = membership_evidence(part, prior, "e1")
-        # moving e1 into e2's block empties its own: count 2 -> 1, c0 0.2 -> 0.8
-        assert ev.domain_component[1] == pytest.approx((0.8 - 0.2) / 0.8)
+        pl = specify_corpus(part, prior).plausibility
+        # moving e1 into e2's block empties its own: count 2 -> 1, c0 0.2 -> 0.8,
+        # on top of the cluster against of 0.3
+        assert pl["e1"][1] == pytest.approx(0.7 * (1.0 - (0.8 - 0.2) / 0.8))
         # while the fresh move keeps the count (singleton origin): no domain change
-        assert ev.domain_component[NEW_BLOCK] == 0.0
+        assert pl["e1"][NEW_BLOCK] == 1.0
 
 
 class TestSpecifyCorpus:
