@@ -8,20 +8,16 @@ import random
 import time
 
 from evintel.oracle import OracleSizeError, all_paths, combine_oracle, random_track_graph
-from evintel.tracks import (
-    best_path_dp,
-    path_plausibility_unnorm,
-    path_support,
-    track_conflict,
-)
+from evintel.tracks import best_path_dp, normalize, path_plausibility_unnorm
 
 
 def sweep(g, top_k=3):
-    """Conflict once, then support of the top-k tracks, as the pipeline does per block."""
+    """The top-k tracks, then ``normalize``: conflict once and each track's support,
+    as the pipeline does per block."""
     t0 = time.perf_counter()
-    conflict, norm = track_conflict(g)
-    ranked = best_path_dp(g, top_k)
-    supports = {path: path_support(g, path, norm) for path, _ in ranked}
+    paths = [path for path, _ in best_path_dp(g, top_k)]
+    conflict, values = normalize(g, paths)
+    supports = {path: support for path, (_, support) in zip(paths, values)}
     return conflict, supports, time.perf_counter() - t0
 
 

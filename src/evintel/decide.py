@@ -6,12 +6,13 @@ parameter rho in [0, 1] picks the point value E_low + rho (E_high - E_low);
 which alternative is best is then piecewise constant in rho, and an
 alternative's preference is the total length of rho where it wins. The same
 machinery scores sequential games where each player wants to end up holding
-the highest point value on the table. That game is solved: whatever the other
-makers choose, each maker's subgame-perfect pick is its own earliest-listed
-highest value at rho (proof in ``_solve``), so maker order never changes the
-outcome, and a play computes every choice's value once.
-``oracle.reference_play``, backward induction over the whole game tree with
-values recomputed at every node, is the check.
+the highest point value on the table; a plain segmentation is the game with
+one maker per choice. That game is solved: whatever the other makers choose,
+each maker's subgame-perfect pick is its own earliest-listed highest value at
+rho (proof in ``_solve``), so maker order never changes the outcome, and a
+play computes every choice's value once. ``oracle.reference_play``, backward
+induction over the whole game tree with values recomputed at every node, is
+the check.
 """
 
 from __future__ import annotations
@@ -103,15 +104,13 @@ def _breakpoints(choices: Sequence[UtilityIntervalChoice]) -> list[float]:
     return sorted(points)
 
 
-def _winners_at(choices: Sequence[UtilityIntervalChoice], rho: float) -> tuple[str, ...]:
-    values = [c.value_at(rho) for c in choices]
-    best = max(values)
-    return tuple(c.id for c, v in zip(choices, values) if v == best)
-
-
-def _segmentation(points: Sequence[float], choice_ids: Sequence[str], winners_at: Callable) -> RhoSegmentation:
-    """Segments between breakpoints, decided at their midpoints by ``winners_at(rho)``;
-    neighbours with equal winners merge, and winners split a segment's length equally."""
+def _segmentation(choices: Sequence[UtilityIntervalChoice], winners_at: Callable) -> RhoSegmentation:
+    """Segments between the choices' breakpoints, decided at their midpoints by
+    ``winners_at(rho)``: strictly distinct lines can only tie at breakpoints, so
+    the winner set is constant inside a segment and the boundary point belongs
+    to the right-hand segment. Neighbours with equal winners merge, and
+    winners (affinely identical choices) split a segment's length equally."""
+    points = _breakpoints(choices)
     segments: list[RhoSegment] = []
     for lo, hi in zip(points, points[1:]):
         if hi - lo <= 0.0:
@@ -121,7 +120,7 @@ def _segmentation(points: Sequence[float], choice_ids: Sequence[str], winners_at
             segments[-1] = RhoSegment(segments[-1].lo, hi, winners)
         else:
             segments.append(RhoSegment(lo, hi, winners))
-    preferences = {c: 0.0 for c in choice_ids}
+    preferences = {c.id: 0.0 for c in choices}
     for seg in segments:
         share = (seg.hi - seg.lo) / len(seg.winners)
         for w in seg.winners:
@@ -130,19 +129,11 @@ def _segmentation(points: Sequence[float], choice_ids: Sequence[str], winners_at
 
 
 def rho_segmentation(choices: Sequence[UtilityIntervalChoice]) -> RhoSegmentation:
-    """Upper envelope of the choices' point values over rho in [0, 1].
-
-    Each segment is decided at its midpoint: strictly distinct lines can only
-    tie at breakpoints, so the winner set is constant inside a segment and the
-    boundary point belongs to the right-hand segment. Affinely identical
-    winners share a segment and split its length equally.
-    """
+    """Upper envelope of the choices' point values over rho in [0, 1]: the game
+    with one maker per choice, whose table-maximal choices win each segment."""
     if not choices:
         raise ValidationError("need at least one choice")
-    ids = [c.id for c in choices]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("choice ids must be unique")
-    return _segmentation(_breakpoints(choices), ids, lambda rho: _winners_at(choices, rho))
+    return game_preferences([DecisionMaker(c.id, (c,)) for c in choices])
 
 
 def _solve(makers: Sequence[DecisionMaker], rho: float) -> tuple[list[tuple[UtilityIntervalChoice, float]], float]:
@@ -208,4 +199,4 @@ def game_preferences(makers: Sequence[DecisionMaker]) -> RhoSegmentation:
         outcome, table_max = _solve(makers, rho)
         return tuple(c.id for c, v in outcome if v == table_max)
 
-    return _segmentation(_breakpoints(all_choices), [c.id for c in all_choices], winners_at)
+    return _segmentation(all_choices, winners_at)

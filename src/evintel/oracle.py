@@ -231,11 +231,10 @@ def kernel_agrees(m1: MassFunction, m2: MassFunction) -> bool:
     )
 
 
-def random_mass(frame: Frame, rng: random.Random, max_focals: int = 3) -> MassFunction:
-    """Random mass function with a guaranteed frame remainder (so conflict < 1)."""
-    n_focals = rng.randint(1, max_focals)
+def random_mass(frame: Frame, rng: random.Random) -> MassFunction:
+    """Up to 3 random focal sets with a guaranteed frame remainder (so conflict < 1)."""
     subsets = []
-    for _ in range(n_focals):
+    for _ in range(rng.randint(1, 3)):
         members = [e for e in frame.elements if rng.random() < 0.5]
         if members:
             subsets.append(tuple(members))
@@ -246,19 +245,24 @@ def random_mass(frame: Frame, rng: random.Random, max_focals: int = 3) -> MassFu
     return make_mass(frame, entries)
 
 
-def random_spread_mass(
-    frame: Frame, rng: random.Random, max_focals: int = 4, orders: float = 14.0
-) -> MassFunction:
-    """Random focal sets with weights spread over ``orders`` orders of
+def random_spread_mass(frame: Frame, rng: random.Random, orders: float = 14.0) -> MassFunction:
+    """Up to 4 random focal sets with weights spread over ``orders`` orders of
     magnitude, so that steps near total conflict and dust below ``PRUNE_EPS``
     occur. The weights given to ``make_mass`` sum to 1 only within 5e-10, as
     hand-typed input may, and it rescales them."""
     masses: dict[int, float] = {}
-    for _ in range(rng.randint(1, max_focals)):
+    for _ in range(rng.randint(1, 4)):
         bits = rng.randint(1, frame.full_bits)
         masses[bits] = masses.get(bits, 0.0) + 10.0 ** -rng.uniform(0.0, orders)
     total = math.fsum(masses.values()) / (1.0 + rng.uniform(-5e-10, 5e-10))
     return make_mass(frame, [(frame.members_of(bits), v / total) for bits, v in masses.items()])
+
+
+def spread_corpus(rng: random.Random, n: int, orders: float) -> EvidenceCorpus:
+    """``n`` reports ``e00``.. of ``random_spread_mass`` evidence on the frame A..D."""
+    frame = Frame(("A", "B", "C", "D"))
+    reports = (Report(f"e{i:02d}", random_spread_mass(frame, rng, orders)) for i in range(n))
+    return EvidenceCorpus(frame, tuple(reports))
 
 
 def random_simple_support(frame: Frame, rng: random.Random) -> MassFunction:
@@ -282,11 +286,11 @@ def random_track_graph(n: int, rng: random.Random, zero_share: float = 0.0) -> T
 
 
 def separable_corpus(
-    rng: random.Random, n_reports: int = 10, n_groups: int = 3, frame_size: int | None = None
+    rng: random.Random, n_reports: int = 10, n_groups: int = 3
 ) -> tuple[EvidenceCorpus, list[set[str]]]:
-    """Corpus whose ground-truth groups carry pairwise-disjoint focal sets."""
-    frame_size = frame_size or n_groups
-    frame = Frame(tuple(f"t{g + 1}" for g in range(frame_size)))
+    """Corpus whose ground-truth groups carry pairwise-disjoint focal sets, on a
+    frame of one element per group."""
+    frame = Frame(tuple(f"t{g + 1}" for g in range(n_groups)))
     assignment = [g % n_groups for g in range(n_groups)]  # every group occupied
     assignment += [rng.randrange(n_groups) for _ in range(n_reports - n_groups)]
     rng.shuffle(assignment)
@@ -464,7 +468,7 @@ def reference_game_preferences(makers: Sequence[DecisionMaker]) -> RhoSegmentati
         table_max = max(c.value_at(rho) for c in outcome)
         return tuple(c.id for c in outcome if c.value_at(rho) == table_max)
 
-    return _segmentation(_breakpoints(all_choices), [c.id for c in all_choices], winners_at)
+    return _segmentation(all_choices, winners_at)
 
 
 def games_agree(makers: Sequence[DecisionMaker]) -> bool:
@@ -484,12 +488,13 @@ def random_game(rng: random.Random, max_makers: int = 4, max_choices: int = 4, t
     """Random sequential game where ties are common. With probability
     ``tie_share / 3`` a maker has a single choice; with ``tie_share / 3`` each,
     a choice's interval repeats an earlier one (an affinely identical choice),
-    lies on a grid of quarters or has zero width."""
+    lies on a grid of quarters or has zero width. A ``tie_share`` of 0 draws no
+    extra number, so its games have plain random intervals."""
     makers: list[DecisionMaker] = []
     intervals: list[tuple[float, float]] = []
     for t in range(rng.randint(1, max_makers)):
         choices = []
-        for _ in range(1 if rng.random() < tie_share / 3 else rng.randint(1, max_choices)):
+        for _ in range(1 if tie_share and rng.random() < tie_share / 3 else rng.randint(1, max_choices)):
             u = rng.random() / tie_share if tie_share else 1.0
             if u < 1 / 3 and intervals:
                 lo, hi = rng.choice(intervals)
@@ -748,8 +753,9 @@ def check_best_path(seed: int, trials: int) -> CheckResult:
     return CheckResult("best path DP vs exhaustive argmax", failures == 0, float(failures))
 
 
-def check_rho_preferences(seed: int, trials: int, grid: int = 10_000) -> CheckResult:
+def check_rho_preferences(seed: int, trials: int) -> CheckResult:
     rng = random.Random(seed)
+    grid = 10_000
     max_dev = 0.0
     for _ in range(trials):
         choices = []
@@ -885,16 +891,13 @@ def check_partition_descent(seed: int, trials: int) -> CheckResult:
 
 
 def check_partition_descent_spread(seed: int, trials: int) -> CheckResult:
-    """``descents_part_only_at_near_ties`` on corpora of ``random_spread_mass``
-    reports, spread over 8 or 14 orders of magnitude, with random priors."""
+    """``descents_part_only_at_near_ties`` on ``spread_corpus`` corpora, spread
+    over 8 or 14 orders of magnitude, with random priors."""
     rng = random.Random(seed)
-    frame = Frame(("A", "B", "C", "D"))
     mismatches = 0
     for t in range(trials):
-        orders = 8.0 if t % 2 else 14.0
         n = rng.randint(2, 10)
-        reports = tuple(Report(f"e{i:02d}", random_spread_mass(frame, rng, orders=orders)) for i in range(n))
-        corpus = EvidenceCorpus(frame, reports)
+        corpus = spread_corpus(rng, n, 8.0 if t % 2 else 14.0)
         prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.3)
         start = _random_start(corpus, prior, rng)
         mismatches += not descents_part_only_at_near_ties(corpus, prior, start, rng.choice((1, 2, 200)))
@@ -903,13 +906,12 @@ def check_partition_descent_spread(seed: int, trials: int) -> CheckResult:
 
 def check_specify(seed: int, trials: int) -> CheckResult:
     """``specify_corpus`` vs ``reference_memberships`` on random partitions of
-    mixed, separable and ``random_spread_mass`` corpora with random priors.
+    mixed, separable and ``spread_corpus`` corpora with random priors.
     Each plausibility may differ by ``16 * PRUNE_EPS / d``: the dust of the
     two conflicts in its ratio over the ratio's denominator d. Where d is at
     most ``16 * PRUNE_EPS`` that allows anything, so such a value is only
     checked to lie in [0, 1], and the name counts them."""
     rng = random.Random(seed)
-    frame = Frame(("A", "B", "C", "D"))
     max_dev, failures, skipped = 0.0, 0, 0
     for t in range(trials):
         n = rng.randint(1, 10)
@@ -918,9 +920,7 @@ def check_specify(seed: int, trials: int) -> CheckResult:
         elif t % 3 == 1:
             corpus, _ = separable_corpus(rng, n_reports=max(n, 3), n_groups=3)
         else:
-            orders = rng.choice((8.0, 14.0))
-            reports = tuple(Report(f"e{i:02d}", random_spread_mass(frame, rng, orders=orders)) for i in range(n))
-            corpus = EvidenceCorpus(frame, reports)
+            corpus = spread_corpus(rng, n, rng.choice((8.0, 14.0)))
         n = len(corpus.reports)
         prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.3)
         partition = make_partition(corpus, _random_start(corpus, prior, rng))

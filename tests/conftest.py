@@ -6,7 +6,6 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from evintel.decide import DecisionMaker, UtilityIntervalChoice
 from evintel.ds import Frame, make_mass
 
 ABCD = Frame(("a", "b", "c", "d"))
@@ -103,34 +102,3 @@ def spe_by_profile_enumeration(makers, rho):
             solutions.append(play_profile(makers, profile))
     assert len({tuple(c.id for c in s) for s in solutions}) == 1
     return solutions[0]
-
-
-def spe_by_tables(makers, rho):
-    """Bottom-up per-history optimization (feasible for 3x3 games)."""
-    tables: list[dict] = [dict() for _ in makers]
-    for t in range(len(makers) - 1, -1, -1):
-        maker = makers[t]
-        for history in histories_for(makers, t):
-            keys = []
-            for a in range(len(maker.choices)):
-                outcome = continuation(makers, tuple(tables), history + (a,), t + 1)
-                values = [c.value_at(rho) for c in outcome]
-                keys.append(objective_key(maker.choices[a].value_at(rho), values))
-            best = max(keys)
-            tables[t][history] = min(a for a, k in enumerate(keys) if k == best)
-    return play_profile(makers, tuple(tables))
-
-
-def random_game(rng, max_makers=3, max_choices=3):
-    makers = []
-    n = rng.randint(1, max_makers)
-    cid = 0
-    for t in range(n):
-        k = rng.randint(1, max_choices)
-        cs = []
-        for _ in range(k):
-            a, b = sorted((rng.random(), rng.random()))
-            cs.append(UtilityIntervalChoice(f"c{cid}", a, b))
-            cid += 1
-        makers.append(DecisionMaker(f"dm{t}", tuple(cs)))
-    return makers

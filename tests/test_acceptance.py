@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import random_game, spe_by_profile_enumeration, spe_by_tables
+from conftest import spe_by_profile_enumeration
 from evintel.cluster import (
     DomainPrior,
     SearchConfig,
@@ -23,7 +23,7 @@ from evintel.decide import (
     rho_segmentation,
     sequential_play,
 )
-from evintel.ds import Frame, combine_dempster
+from evintel.ds import Frame, combine_dempster, left_sum
 from evintel.oracle import (
     OracleSizeError,
     all_paths,
@@ -33,9 +33,11 @@ from evintel.oracle import (
     enumerate_conflict,
     fold_conflict,
     prior_to_mass,
+    random_game,
     random_mass,
     random_simple_support,
     random_track_graph,
+    reference_play,
     separable_corpus,
 )
 from evintel.posterior import (
@@ -166,7 +168,8 @@ def test_c5_posterior_correctness():
         r_max = rng.randint(2, 6)
         supports = [rng.random() for _ in range(rng.randint(1, r_max))]
         weights = [rng.random() + 1e-3 for _ in range(r_max)]
-        prior = DomainPrior({r + 1: w / sum(weights) for r, w in enumerate(weights)})
+        total = left_sum(weights)
+        prior = DomainPrior({r + 1: w / total for r, w in enumerate(weights)})
         cb = counting_bpa(supports)
         direct = posterior_distribution(cb, prior)
         via_ds, _ = combine_dempster(counting_to_mass(cb, r_max), prior_to_mass(prior))
@@ -259,19 +262,19 @@ def test_c8_decision_module():
     assert seg.preferences["B"] == pytest.approx(0.4, abs=1e-12)
 
     for _ in range(40):
-        makers = random_game(rng, max_makers=2, max_choices=3)
+        makers = random_game(rng, max_makers=2, max_choices=3, tie_share=0.0)
         rho = rng.random()
         want = spe_by_profile_enumeration(makers, rho)
         assert sequential_play(makers, rho) == {m.id: c.id for m, c in zip(makers, want)}
     for _ in range(15):
-        makers = random_game(rng, max_makers=3, max_choices=2)
+        makers = random_game(rng, max_makers=3, max_choices=2, tie_share=0.0)
         rho = rng.random()
         want = spe_by_profile_enumeration(makers, rho)
         assert sequential_play(makers, rho) == {m.id: c.id for m, c in zip(makers, want)}
     for _ in range(60):
-        makers = random_game(rng, max_makers=3, max_choices=3)
+        makers = random_game(rng, max_makers=3, max_choices=3, tie_share=0.0)
         rho = rng.random()
-        want = spe_by_tables(makers, rho)
+        want = reference_play(makers, 0, [], rho)
         assert sequential_play(makers, rho) == {m.id: c.id for m, c in zip(makers, want)}
 
     elapsed = time.perf_counter() - start

@@ -32,10 +32,10 @@ from evintel.oracle import (
     mixed_corpus,
     random_prior,
     random_simple_support,
-    random_spread_mass,
     reference_combine,
     reference_conflict,
     separable_corpus,
+    spread_corpus,
 )
 from evintel.pipeline import parse_document
 from evintel.scenario import ScenarioConfig, generate_scenario_doc
@@ -46,14 +46,6 @@ AB = Frame(("A", "B"))
 
 def simple(frame, element, w):
     return make_mass(frame, [((element,), w), (frame.elements, 1.0 - w)])
-
-
-def spread_corpus(rng, n, orders=8.0):
-    """Reports on a frame of 4 with focal weights spread over ``orders`` orders
-    of magnitude, given to ``make_mass`` up to 5e-10 off a sum of 1."""
-    frame = Frame(("A", "B", "C", "D"))
-    reports = (Report(f"e{i:02d}", random_spread_mass(frame, rng, orders=orders)) for i in range(n))
-    return EvidenceCorpus(frame, tuple(reports))
 
 
 def corpus_of(frame, *pairs):
@@ -699,7 +691,7 @@ class TestIncrementalDescent:
         rng = random.Random(109)
         pairs, falls = 0, 0
         for _ in range(300):
-            corpus = spread_corpus(rng, rng.randint(3, 10))
+            corpus = spread_corpus(rng, rng.randint(3, 10), 8.0)
             n = len(corpus.reports)
             members = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
             state = BlockState(corpus, members, {})

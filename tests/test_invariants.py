@@ -12,7 +12,7 @@ from evintel.cluster import (
     make_partition,
     metaconflict,
 )
-from evintel.ds import Frame
+from evintel.ds import Frame, left_sum
 from evintel.oracle import random_mass
 from evintel.specify import NEW_BLOCK, specify_corpus
 
@@ -36,7 +36,7 @@ def random_partition(rng, corpus, max_blocks):
 
 def random_prior(rng, r_max):
     weights = [rng.random() + 1e-6 for _ in range(r_max)]
-    total = sum(weights)
+    total = left_sum(weights)
     return DomainPrior({r + 1: w / total for r, w in enumerate(weights)})
 
 
