@@ -683,7 +683,7 @@ def check_counting_bpa(seed: int, trials: int) -> CheckResult:
     rng = random.Random(seed)
     max_dev = 0.0
     for _ in range(trials):
-        supports = [rng.random() for _ in range(rng.randint(1, 10))]
+        supports = [rng.random() for _ in range(rng.randint(1, 12))]
         a = counting_bpa(supports)
         b = counting_bpa_enumeration(supports)
         max_dev = max(max_dev, abs(a.vacuous - b.vacuous))

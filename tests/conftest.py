@@ -6,9 +6,19 @@ from itertools import product
 
 from hypothesis import strategies as st
 
+from evintel.cluster import EvidenceCorpus, Report
 from evintel.ds import Frame, make_mass
 
 ABCD = Frame(("a", "b", "c", "d"))
+
+
+def simple(frame, element, w):
+    """A simple support function: mass w on the singleton, the rest on the frame."""
+    return make_mass(frame, [((element,), w), (frame.elements, 1.0 - w)])
+
+
+def corpus_of(frame, *pairs):
+    return EvidenceCorpus(frame, tuple(Report(rid, m) for rid, m in pairs))
 
 
 @st.composite

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import ABCD
+from conftest import corpus_of, simple
 from evintel import cluster
 from evintel.cluster import (
     IMPROVEMENT_TOL,
@@ -11,7 +11,6 @@ from evintel.cluster import (
     DomainPrior,
     EvidenceCorpus,
     Partition,
-    Report,
     SearchConfig,
     cluster_conflict,
     domain_conflict,
@@ -25,13 +24,10 @@ from evintel.ds import Frame, TotalConflictError, ValidationError, make_mass, va
 from evintel.oracle import (
     descents_agree,
     descents_part_only_at_near_ties,
-    enumerate_conflict,
     enumerate_partitions,
     enumerate_search,
-    fold_conflict,
     mixed_corpus,
     random_prior,
-    random_simple_support,
     reference_combine,
     reference_conflict,
     separable_corpus,
@@ -42,14 +38,6 @@ from evintel.scenario import ScenarioConfig, generate_scenario_doc
 from evintel.specify import specify_corpus
 
 AB = Frame(("A", "B"))
-
-
-def simple(frame, element, w):
-    return make_mass(frame, [((element,), w), (frame.elements, 1.0 - w)])
-
-
-def corpus_of(frame, *pairs):
-    return EvidenceCorpus(frame, tuple(Report(rid, m) for rid, m in pairs))
 
 
 @pytest.fixture
@@ -79,12 +67,6 @@ class TestClusterConflict:
     def test_unknown_member(self, pair_corpus):
         with pytest.raises(ValidationError):
             cluster_conflict(pair_corpus, ["nope"])
-
-    def test_accumulated_equals_simultaneous(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            ms = [random_simple_support(ABCD, rng) for _ in range(rng.randint(2, 6))]
-            assert fold_conflict(ms) == pytest.approx(enumerate_conflict(ms), abs=1e-9)
 
 
 class TestDomainConflict:
@@ -324,15 +306,6 @@ class TestEnumeration:
             seen.add(key)
             flat = sorted(x for b in blocks for x in b)
             assert flat == [0, 1, 2, 3]
-
-    def test_search_matches_exhaustive_on_small_instances(self):
-        rng = random.Random(51)
-        for trial in range(10):
-            corpus, _ = separable_corpus(rng, n_reports=7, n_groups=rng.randint(2, 3))
-            prior = DomainPrior.uniform(3)
-            _, found = partition_search(corpus, prior, SearchConfig(restarts=20, seed=trial))
-            _, best = exhaustive_search(corpus, prior)
-            assert found.mcf == pytest.approx(best.mcf, abs=1e-9)
 
 
 class TestBranchAndBound:

@@ -6,44 +6,23 @@ import pytest
 
 from evintel.cluster import (
     DomainPrior,
-    EvidenceCorpus,
-    Report,
     cluster_conflict,
     make_partition,
     metaconflict,
 )
-from evintel.ds import Frame, left_sum
-from evintel.oracle import random_mass
+from evintel.cluster import _random_start  # noqa: PLC2701 - the search's own random partitions
+from evintel.oracle import mixed_corpus, random_prior
 from evintel.specify import NEW_BLOCK, specify_corpus
-
-FRAME = Frame(("a", "b", "c", "d"))
-
-
-def random_corpus(rng, n_reports):
-    reports = tuple(
-        Report(f"e{i:02d}", random_mass(FRAME, rng)) for i in range(n_reports)
-    )
-    return EvidenceCorpus(FRAME, reports)
 
 
 def random_partition(rng, corpus, max_blocks):
-    n = rng.randint(1, min(max_blocks, len(corpus.reports)))
-    blocks = [[] for _ in range(n)]
-    for r in corpus.reports:
-        blocks[rng.randrange(n)].append(r.id)
-    return make_partition(corpus, [b for b in blocks if b])
-
-
-def random_prior(rng, r_max):
-    weights = [rng.random() + 1e-6 for _ in range(r_max)]
-    total = left_sum(weights)
-    return DomainPrior({r + 1: w / total for r, w in enumerate(weights)})
+    return make_partition(corpus, _random_start(corpus, DomainPrior.uniform(max_blocks), rng))
 
 
 def test_metaconflict_stays_in_unit_interval():
     rng = random.Random(71)
     for _ in range(50):
-        corpus = random_corpus(rng, rng.randint(1, 8))
+        corpus = mixed_corpus(rng, rng.randint(1, 8))
         prior = random_prior(rng, 5)
         part = random_partition(rng, corpus, 5)
         rep = metaconflict(part, prior)
@@ -59,7 +38,7 @@ def test_metaconflict_stays_in_unit_interval():
 def test_membership_values_stay_in_unit_interval():
     rng = random.Random(73)
     for _ in range(30):
-        corpus = random_corpus(rng, rng.randint(2, 7))
+        corpus = mixed_corpus(rng, rng.randint(2, 7))
         prior = random_prior(rng, 4)
         part = random_partition(rng, corpus, 4)
         spec = specify_corpus(part, prior)
@@ -72,7 +51,7 @@ def test_membership_values_stay_in_unit_interval():
 def test_move_monotonicity_on_random_corpora():
     rng = random.Random(79)
     for _ in range(20):
-        corpus = random_corpus(rng, rng.randint(2, 7))
+        corpus = mixed_corpus(rng, rng.randint(2, 7))
         part = random_partition(rng, corpus, 4)
         for rid in corpus.ids:
             own = part.block_of(rid)
@@ -94,7 +73,7 @@ def test_own_block_against_never_exceeds_rejoin_insertion():
     # the removal ratio equals the insertion ratio into the remainder
     rng = random.Random(83)
     for _ in range(20):
-        corpus = random_corpus(rng, rng.randint(3, 6))
+        corpus = mixed_corpus(rng, rng.randint(3, 6))
         part = random_partition(rng, corpus, 3)
         pl = specify_corpus(part, DomainPrior.uniform(6)).plausibility
         for rid in corpus.ids:

@@ -2,21 +2,14 @@ import random
 
 import pytest
 
-from evintel.cluster import DomainPrior, EvidenceCorpus, Report, cluster_conflict, make_partition
-from evintel.ds import Frame, ValidationError, make_mass, vacuous
+from conftest import corpus_of, simple
+from evintel.cluster import DomainPrior, cluster_conflict, make_partition
+from evintel.ds import Frame, make_mass, vacuous
 from evintel.oracle import separable_corpus
 from evintel.specify import NEW_BLOCK, specify_corpus
 
 AB = Frame(("A", "B"))
 ABC = Frame(("A", "B", "C"))
-
-
-def simple(frame, element, w):
-    return make_mass(frame, [((element,), w), (frame.elements, 1.0 - w)])
-
-
-def corpus_of(frame, *pairs):
-    return EvidenceCorpus(frame, tuple(Report(rid, m) for rid, m in pairs))
 
 
 class TestMembershipEvidence:

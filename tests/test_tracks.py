@@ -153,16 +153,6 @@ class TestCombineOracle:
             for path in all_paths(g):
                 assert analysis.support[path] <= analysis.plausibility[path] + 1e-12
 
-    def test_closed_form_matches_oracle(self):
-        rng = random.Random(6)
-        for _ in range(30):
-            g = random_track_graph(rng.randint(2, 5), rng)
-            analysis = combine_oracle(g)
-            for path in all_paths(g):
-                assert path_plausibility_unnorm(g, path) == pytest.approx(
-                    analysis.plausibility_unnorm[path], abs=1e-9
-                )
-
 
 class TestSweepDps:
     def test_match_oracle(self):
