@@ -19,7 +19,6 @@ from .cluster import (
 from .decide import (
     DecisionMaker,
     RhoSegmentation,
-    UtilityBpa,
     UtilityIntervalChoice,
     expected_interval,
     game_preferences,
@@ -42,7 +41,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .posterior import (
-    CountingBpa,
     counting_bpa,
     posterior_distribution,
     subset_support,

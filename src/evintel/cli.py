@@ -172,12 +172,11 @@ def _run_oracle_check(args) -> int:
 
     results = run_all_checks(seed=args.seed, trials=args.trials)
     width = max(len(r.name) for r in results)
-    failed = False
     for r in results:
         status = "ok  " if r.ok else "FAIL"
-        print(f"{status}  {r.name:<{width}}  max_dev={r.max_dev:.3g}")
-        failed = failed or not r.ok
-    return 3 if failed else 0
+        dev = "" if r.max_dev is None else f"  max_dev={r.max_dev:.3g}"
+        print(f"{status}  {r.name:<{width}}  failed {r.failed} of {r.trials}{dev}")
+    return 0 if all(r.ok for r in results) else 3
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -25,22 +25,6 @@ from .ds import MassFunction, ValidationError
 
 
 @dataclass(frozen=True)
-class UtilityBpa:
-    """Evidence over outcomes plus a utility for every frame element."""
-
-    mass: MassFunction
-    utilities: dict[str, float]
-
-    def __post_init__(self):
-        for e in self.mass.frame.elements:
-            u = self.utilities.get(e)
-            if u is None:
-                raise ValidationError(f"no utility for frame element {e!r}")
-            if not math.isfinite(u):
-                raise ValidationError(f"utility for {e!r} is not finite")
-
-
-@dataclass(frozen=True)
 class UtilityIntervalChoice:
     id: str
     e_low: float
@@ -77,17 +61,24 @@ class DecisionMaker:
             raise ValidationError(f"decision maker {self.id!r} has no choices")
 
 
-def expected_interval(u: UtilityBpa, choice_id: str = "") -> UtilityIntervalChoice:
-    """[E_low, E_high]: every focal set contributes its worst / best utility.
+def expected_interval(mass: MassFunction, utilities: dict[str, float], choice_id: str = "") -> UtilityIntervalChoice:
+    """[E_low, E_high]: every focal set contributes its worst / best utility,
+    so every frame element needs a finite utility.
 
     The terms are summed in ``MassFunction.items()``'s bitmask order, so the
     interval does not depend on the order the masses were listed in."""
+    for e in mass.frame.elements:
+        u = utilities.get(e)
+        if u is None:
+            raise ValidationError(f"no utility for frame element {e!r}")
+        if not math.isfinite(u):
+            raise ValidationError(f"utility for {e!r} is not finite")
     e_low = 0.0
     e_high = 0.0
-    for members, mass in u.mass.items():
-        values = [u.utilities[e] for e in members]
-        e_low += mass * min(values)
-        e_high += mass * max(values)
+    for members, m in mass.items():
+        values = [utilities[e] for e in members]
+        e_low += m * min(values)
+        e_high += m * max(values)
     return UtilityIntervalChoice(choice_id, e_low, e_high)
 
 

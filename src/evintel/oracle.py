@@ -2,7 +2,9 @@
 
 Every check pits a production computation against a structurally different
 one (enumeration, grid scan, exhaustive search) on seeded random instances,
-and reports the largest deviation seen. The CLI exposes them as
+and reports how many trials failed; a measured check also reports the largest
+deviation seen, and a trial fails when its own largest deviation exceeds the
+check's tolerance. The CLI exposes them as
 ``oracle-check``; the test suite drives the same generators harder.
 
 Every reference route lives here and no production module imports this one,
@@ -59,7 +61,7 @@ from .ds import (
     make_mass,
     vacuous,
 )
-from .posterior import CountingBpa, counting_bpa, posterior_distribution
+from .posterior import counting_bpa, posterior_distribution
 from .specify import NEW_BLOCK, specify_corpus
 from .tracks import (
     Path,
@@ -76,8 +78,21 @@ ORACLE_VERTEX_LIMIT = 6
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    ok: bool
-    max_dev: float
+    trials: int
+    failed: int
+    max_dev: float | None = None  # None for a pass/fail check
+
+    @property
+    def ok(self) -> bool:
+        return self.failed == 0
+
+
+def _result(name: str, outcomes: list, tol: float | None = None) -> CheckResult:
+    """A check's result from one outcome per trial: whether the trial passed,
+    or, given ``tol``, its largest deviation, which fails above ``tol``."""
+    if tol is None:
+        return CheckResult(name, len(outcomes), sum(not passed for passed in outcomes))
+    return CheckResult(name, len(outcomes), sum(dev > tol for dev in outcomes), max(outcomes, default=0.0))
 
 
 def _normalized(frame: Frame, products: dict[int, float], conflict: float) -> MassFunction:
@@ -510,28 +525,26 @@ def random_game(rng: random.Random, max_makers: int = 4, max_choices: int = 4, t
     return makers
 
 
-def counting_bpa_enumeration(supports: Sequence[float]) -> CountingBpa:
+def counting_bpa_enumeration(supports: Sequence[float]) -> tuple[float, ...]:
     """Oracle route: sum over all 2^n existence patterns. Exponential; keep n small."""
     n = len(supports)
     acc = [0.0] * (n + 1)
     for pattern in product((0, 1), repeat=n):
         weight = math.prod(s if on else 1.0 - s for s, on in zip(supports, pattern))
         acc[sum(pattern)] += weight
-    return CountingBpa(tuple(acc[1:]), acc[0])
+    return tuple(acc)
 
 
 def counting_frame(r_max: int) -> Frame:
     return Frame(tuple(str(r) for r in range(1, r_max + 1)))
 
 
-def counting_to_mass(cb: CountingBpa, r_max: int) -> MassFunction:
-    """The counting bpa as a plain mass function on the count frame {1..r_max}."""
+def counting_to_mass(cb: Sequence[float], r_max: int) -> MassFunction:
+    """The counting bpa as a plain mass function on the count frame {1..r_max},
+    listed as "at least k" for k = 1..n, then the whole frame (entry 0)."""
     frame = counting_frame(r_max)
-    entries: list[tuple[tuple[str, ...], float]] = []
-    for k, mass in enumerate(cb.at_least, start=1):
-        entries.append((tuple(str(r) for r in range(k, r_max + 1)), mass))
-    entries.append((frame.elements, cb.vacuous))
-    return make_mass(frame, entries)
+    entries = [(tuple(str(r) for r in range(k, r_max + 1)), cb[k]) for k in range(1, len(cb))]
+    return make_mass(frame, entries + [(frame.elements, cb[0])])
 
 
 def prior_to_mass(prior: DomainPrior) -> MassFunction:
@@ -647,18 +660,20 @@ def check_dempster_step(seed: int, trials: int) -> CheckResult:
     """``kernel_agrees`` along random folds: a running combination against the
     next random mass, with weights spread down to 1e-14, until a total conflict."""
     rng = random.Random(seed)
-    mismatches = 0
+    passes = []
     for _ in range(trials):
         frame = Frame(tuple("abcde"[: rng.randint(1, 5)]))
         acc = random_spread_mass(frame, rng)
+        passed = True
         for _ in range(rng.randint(1, 6)):
             m = random_spread_mass(frame, rng) if rng.random() < 0.5 else random_mass(frame, rng)
-            mismatches += not kernel_agrees(acc, m)
+            passed = kernel_agrees(acc, m) and passed
             try:
                 acc, _ = reference_combine(acc, m)
             except TotalConflictError:
                 break
-    return CheckResult("Dempster step vs reference combine", mismatches == 0, float(mismatches))
+        passes.append(passed)
+    return _result("Dempster step vs reference combine", passes)
 
 
 def fold_conflict(ms: Sequence[MassFunction]) -> float:
@@ -672,31 +687,27 @@ def check_sequential_conflict(seed: int, trials: int) -> CheckResult:
     """The production fold's accumulated conflict vs full product-space enumeration."""
     rng = random.Random(seed)
     frame = Frame(("a", "b", "c", "d"))
-    max_dev = 0.0
+    devs = []
     for _ in range(trials):
         ms = [random_simple_support(frame, rng) for _ in range(rng.randint(2, 6))]
-        max_dev = max(max_dev, abs(fold_conflict(ms) - enumerate_conflict(ms)))
-    return CheckResult("sequential vs simultaneous conflict", max_dev <= 1e-9, max_dev)
+        devs.append(abs(fold_conflict(ms) - enumerate_conflict(ms)))
+    return _result("sequential vs simultaneous conflict", devs, 1e-9)
 
 
 def check_counting_bpa(seed: int, trials: int) -> CheckResult:
     rng = random.Random(seed)
-    max_dev = 0.0
+    devs = []
     for _ in range(trials):
         supports = [rng.random() for _ in range(rng.randint(1, 12))]
-        a = counting_bpa(supports)
-        b = counting_bpa_enumeration(supports)
-        max_dev = max(max_dev, abs(a.vacuous - b.vacuous))
-        for x, y in zip(a.at_least, b.at_least):
-            max_dev = max(max_dev, abs(x - y))
-    return CheckResult("counting bpa vs 2^n enumeration", max_dev <= 1e-12, max_dev)
+        devs.append(max(abs(x - y) for x, y in zip(counting_bpa(supports), counting_bpa_enumeration(supports))))
+    return _result("counting bpa vs 2^n enumeration", devs, 1e-12)
 
 
 def check_posterior_combination(seed: int, trials: int) -> CheckResult:
     """Closed-form posterior vs ``reference_combine`` of the counting mass with
     the prior, a combination that shares no step with production code."""
     rng = random.Random(seed)
-    max_dev = 0.0
+    devs = []
     for _ in range(trials):
         r_max = rng.randint(2, 6)
         n = rng.randint(1, r_max)
@@ -707,56 +718,51 @@ def check_posterior_combination(seed: int, trials: int) -> CheckResult:
         cb = counting_bpa(supports)
         direct = posterior_distribution(cb, prior)
         combined, _ = reference_combine(counting_to_mass(cb, r_max), prior_to_mass(prior))
-        for r in range(1, r_max + 1):
-            via_ds = combined.mass((str(r),))
-            max_dev = max(max_dev, abs(direct[r] - via_ds))
-    return CheckResult("posterior vs mass-function combination", max_dev <= 1e-9, max_dev)
+        devs.append(max(abs(direct[r] - combined.mass((str(r),))) for r in range(1, r_max + 1)))
+    return _result("posterior vs mass-function combination", devs, 1e-9)
 
 
 def check_track_plausibility(seed: int, trials: int) -> CheckResult:
     rng = random.Random(seed)
-    max_dev = 0.0
+    devs = []
     for _ in range(trials):
         g = random_track_graph(rng.randint(2, 5), rng)
         analysis = combine_oracle(g)
-        for path in all_paths(g):
-            max_dev = max(
-                max_dev, abs(path_plausibility_unnorm(g, path) - analysis.plausibility_unnorm[path])
-            )
-    return CheckResult("track plausibility closed form vs oracle", max_dev <= 1e-9, max_dev)
+        devs.append(
+            max(abs(path_plausibility_unnorm(g, p) - analysis.plausibility_unnorm[p]) for p in all_paths(g))
+        )
+    return _result("track plausibility closed form vs oracle", devs, 1e-9)
 
 
 def check_track_normalization(seed: int, trials: int) -> CheckResult:
     """Sweep DPs for conflict and per-track support vs full product-space enumeration."""
     rng = random.Random(seed)
-    max_dev = 0.0
+    devs = []
     for _ in range(trials):
         g = random_track_graph(rng.randint(1, 5), rng, zero_share=rng.choice((0.0, 0.3)))
         analysis = combine_oracle(g)
         conflict, norm = track_conflict(g)
-        max_dev = max(max_dev, abs(conflict - analysis.conflict))
-        for path in all_paths(g):
-            max_dev = max(max_dev, abs(path_support(g, path, norm) - analysis.support[path]))
-    return CheckResult("track conflict and support DP vs oracle", max_dev <= 1e-12, max_dev)
+        support_devs = (abs(path_support(g, p, norm) - analysis.support[p]) for p in all_paths(g))
+        devs.append(max(abs(conflict - analysis.conflict), *support_devs))
+    return _result("track conflict and support DP vs oracle", devs, 1e-12)
 
 
 def check_best_path(seed: int, trials: int) -> CheckResult:
     rng = random.Random(seed)
-    failures = 0
+    passes = []
     for _ in range(trials):
         g = random_track_graph(rng.randint(2, 5), rng)
         (best, value), *_ = best_path_dp(g, top_k=1)
         best_val = max(path_plausibility_unnorm(g, p) for p in all_paths(g))
         brute = min(p for p in all_paths(g) if path_plausibility_unnorm(g, p) == best_val)
-        if best != brute or abs(value - best_val) > 1e-12:
-            failures += 1
-    return CheckResult("best path DP vs exhaustive argmax", failures == 0, float(failures))
+        passes.append(best == brute and abs(value - best_val) <= 1e-12)
+    return _result("best path DP vs exhaustive argmax", passes)
 
 
 def check_rho_preferences(seed: int, trials: int) -> CheckResult:
     rng = random.Random(seed)
     grid = 10_000
-    max_dev = 0.0
+    devs = []
     for _ in range(trials):
         choices = []
         for i in range(rng.randint(1, 5)):
@@ -771,23 +777,21 @@ def check_rho_preferences(seed: int, trials: int) -> CheckResult:
             winners = [c.id for c, v in zip(choices, values) if v == best]
             for w in winners:
                 counts[w] += 1.0 / (grid * len(winners))
-        for cid, pref in seg.preferences.items():
-            max_dev = max(max_dev, abs(pref - counts[cid]))
-    return CheckResult("rho preferences vs grid scan", max_dev <= 2e-4, max_dev)
+        devs.append(max(abs(pref - counts[cid]) for cid, pref in seg.preferences.items()))
+    return _result("rho preferences vs grid scan", devs, 2e-4)
 
 
 def check_partition_search(seed: int, trials: int) -> CheckResult:
     """Local search attains the exhaustive metaconflict minimum on small corpora."""
     rng = random.Random(seed)
-    misses = 0
+    passes = []
     for t in range(trials):
         corpus, _ = separable_corpus(rng, n_reports=6, n_groups=rng.randint(2, 3))
         prior = DomainPrior.uniform(4)
         _, found = partition_search(corpus, prior, SearchConfig(restarts=20, seed=seed + t))
         _, best = exhaustive_search(corpus, prior)
-        if abs(found.mcf - best.mcf) > 1e-9:
-            misses += 1
-    return CheckResult("partition search vs exhaustive minimum", misses == 0, float(misses))
+        passes.append(abs(found.mcf - best.mcf) <= 1e-9)
+    return _result("partition search vs exhaustive minimum", passes)
 
 
 def check_partition_branch_and_bound(seed: int, trials: int) -> CheckResult:
@@ -795,16 +799,15 @@ def check_partition_branch_and_bound(seed: int, trials: int) -> CheckResult:
     blocks and the same report, including saturated blocks, zero prior entries
     and value ties."""
     rng = random.Random(seed)
-    mismatches = 0
+    passes = []
     for _ in range(trials):
         n = rng.randint(1, 7)
         corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=0.25, vacuous_share=0.1)
         prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.4)
         part, report = exhaustive_search(corpus, prior)
         oracle_part, oracle_report = enumerate_search(corpus, prior)
-        if part.blocks != oracle_part.blocks or report != oracle_report:
-            mismatches += 1
-    return CheckResult("partition branch-and-bound vs enumeration", mismatches == 0, float(mismatches))
+        passes.append(part.blocks == oracle_part.blocks and report == oracle_report)
+    return _result("partition branch-and-bound vs enumeration", passes)
 
 
 def descents_agree(
@@ -875,7 +878,7 @@ def check_partition_descent(seed: int, trials: int) -> CheckResult:
     """``descents_agree`` on mixed, separable and all-categorical corpora with
     random priors, some runs cut after one or two sweeps."""
     rng = random.Random(seed)
-    mismatches = 0
+    passes = []
     for t in range(trials):
         n = rng.randint(1, 12)
         if t % 3 == 1:
@@ -886,22 +889,22 @@ def check_partition_descent(seed: int, trials: int) -> CheckResult:
         n = len(corpus.reports)
         prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.4)
         start = _random_start(corpus, prior, rng)
-        mismatches += not descents_agree(corpus, prior, start, rng.choice((1, 2, 200)))
-    return CheckResult("partition descent vs reference descent", mismatches == 0, float(mismatches))
+        passes.append(descents_agree(corpus, prior, start, rng.choice((1, 2, 200))))
+    return _result("partition descent vs reference descent", passes)
 
 
 def check_partition_descent_spread(seed: int, trials: int) -> CheckResult:
     """``descents_part_only_at_near_ties`` on ``spread_corpus`` corpora, spread
     over 8 or 14 orders of magnitude, with random priors."""
     rng = random.Random(seed)
-    mismatches = 0
+    passes = []
     for t in range(trials):
         n = rng.randint(2, 10)
         corpus = spread_corpus(rng, n, 8.0 if t % 2 else 14.0)
         prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.3)
         start = _random_start(corpus, prior, rng)
-        mismatches += not descents_part_only_at_near_ties(corpus, prior, start, rng.choice((1, 2, 200)))
-    return CheckResult("partition descent vs reference, spread masses", mismatches == 0, float(mismatches))
+        passes.append(descents_part_only_at_near_ties(corpus, prior, start, rng.choice((1, 2, 200))))
+    return _result("partition descent vs reference, spread masses", passes)
 
 
 def check_specify(seed: int, trials: int) -> CheckResult:
@@ -912,7 +915,7 @@ def check_specify(seed: int, trials: int) -> CheckResult:
     most ``16 * PRUNE_EPS`` that allows anything, so such a value is only
     checked to lie in [0, 1], and the name counts them."""
     rng = random.Random(seed)
-    max_dev, failures, skipped = 0.0, 0, 0
+    max_dev, failed, skipped = 0.0, 0, 0
     for t in range(trials):
         n = rng.randint(1, 10)
         if t % 3 == 0:
@@ -925,6 +928,7 @@ def check_specify(seed: int, trials: int) -> CheckResult:
         prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.3)
         partition = make_partition(corpus, _random_start(corpus, prior, rng))
         plausibility = specify_corpus(partition, prior).plausibility
+        failures = 0
         for rid, values in reference_memberships(partition, prior).items():
             for key, (expected, d) in values.items():
                 value = plausibility[rid][key]
@@ -935,14 +939,14 @@ def check_specify(seed: int, trials: int) -> CheckResult:
                     dev = abs(value - expected)
                     max_dev = max(max_dev, dev)
                     failures += dev > 16 * PRUNE_EPS / d
-    return CheckResult(f"specify vs reference conflicts ({skipped} range-only)", failures == 0, max_dev)
+        failed += failures > 0
+    return CheckResult(f"specify vs reference conflicts ({skipped} range-only)", trials, failed, max_dev)
 
 
 def check_game_solver(seed: int, trials: int) -> CheckResult:
     """``games_agree`` on tie-heavy random games of up to 4 makers x 4 choices."""
     rng = random.Random(seed)
-    mismatches = sum(not games_agree(random_game(rng)) for _ in range(trials))
-    return CheckResult("game solver vs backward induction", mismatches == 0, float(mismatches))
+    return _result("game solver vs backward induction", [games_agree(random_game(rng)) for _ in range(trials)])
 
 
 def run_all_checks(seed: int = 0, trials: int = 25) -> list[CheckResult]:

@@ -225,7 +225,7 @@ def parse_decision(doc: dict, where: str = "input") -> list[decide.DecisionMaker
             loc = f"{where}: choice {cid!r}"
             mass = _parse_masses(frame, raw_choice.get("masses"), loc)
             try:
-                choices.append(decide.expected_interval(decide.UtilityBpa(mass, utilities), cid))
+                choices.append(decide.expected_interval(mass, utilities, cid))
             except ValidationError as exc:
                 raise ValidationError(f"{loc}: {exc}") from None
         makers.append(decide.DecisionMaker(mid, tuple(choices)))

@@ -41,7 +41,7 @@ from evintel.oracle import (
     reference_play,
     separable_corpus,
 )
-from evintel.posterior import CountingBpa, posterior_distribution
+from evintel.posterior import posterior_distribution
 from evintel.specify import specify_corpus
 from evintel.tracks import best_path_dp
 
@@ -155,7 +155,7 @@ def test_c5_posterior_correctness():
     assert combination.ok, combination
 
     prior = DomainPrior({1: 0.2, 2: 0.5, 3: 0.3})
-    assert posterior_distribution(CountingBpa((), 1.0), prior) == prior.probabilities
+    assert posterior_distribution((1.0,), prior) == prior.probabilities
 
     elapsed = time.perf_counter() - start
     _passed("5", "counting vs 2^n, posterior vs combination, vacuous identity", elapsed)

@@ -505,6 +505,15 @@ class TestOracleCheck:
         with pytest.raises(ds.ValidationError, match="trials must be >= 1"):
             run_all_checks(trials=trials)
 
+    def test_a_failed_pass_fail_entry_prints_its_count_and_exits_3(self, capsys, monkeypatch):
+        results = [oracle.CheckResult("measured", 25, 0, 1e-16), oracle.CheckResult("pass/fail", 5, 2)]
+        monkeypatch.setattr(oracle, "run_all_checks", lambda seed, trials: results)
+        assert main(["oracle-check"]) == 3
+        measured, pass_fail = capsys.readouterr().out.splitlines()
+        assert measured.startswith("ok  ") and measured.endswith("failed 0 of 25  max_dev=1e-16")
+        assert pass_fail.startswith("FAIL") and pass_fail.endswith("failed 2 of 5")
+        assert "max_dev" not in pass_fail
+
 
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 

@@ -5,7 +5,6 @@ import pytest
 from evintel import oracle
 from evintel.decide import (
     DecisionMaker,
-    UtilityBpa,
     UtilityIntervalChoice,
     expected_interval,
     game_preferences,
@@ -25,13 +24,13 @@ def choice(cid, lo, hi):
 class TestExpectedInterval:
     def test_worked_example(self):
         m = make_mass(UTIL_FRAME, [(("mid",), 0.6), (("lo", "hi"), 0.4)])
-        c = expected_interval(UtilityBpa(m, UTILS), "c")
+        c = expected_interval(m, UTILS, "c")
         assert c.e_low == pytest.approx(0.3)
         assert c.e_high == pytest.approx(0.7)
 
     def test_bayesian_collapses(self):
         m = make_mass(UTIL_FRAME, [(("lo",), 0.25), (("mid",), 0.25), (("hi",), 0.5)])
-        c = expected_interval(UtilityBpa(m, UTILS))
+        c = expected_interval(m, UTILS)
         assert c.e_low == c.e_high == pytest.approx(0.625)
 
     def test_interval_does_not_depend_on_listing_order(self):
@@ -40,16 +39,16 @@ class TestExpectedInterval:
         listed = [(("draw",), 0.7), (("bad",), 0.2), (("good",), 0.1)]
         utilities = dict.fromkeys(frame.elements, 1.0)
         for entries in (listed, listed[::-1]):
-            c = expected_interval(UtilityBpa(make_mass(frame, entries), utilities))
+            c = expected_interval(make_mass(frame, entries), utilities)
             assert c.e_low == c.e_high == 1.0
 
     def test_vacuous_spans_utilities(self):
-        c = expected_interval(UtilityBpa(vacuous(UTIL_FRAME), UTILS))
+        c = expected_interval(vacuous(UTIL_FRAME), UTILS)
         assert (c.e_low, c.e_high) == (0.0, 1.0)
 
     def test_missing_utility(self):
         with pytest.raises(ValidationError, match="no utility"):
-            UtilityBpa(vacuous(UTIL_FRAME), {"lo": 0.0, "mid": 0.5})
+            expected_interval(vacuous(UTIL_FRAME), {"lo": 0.0, "mid": 0.5})
 
 
 class TestRhoSegmentation:

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from evintel.cluster import DomainPrior, EvidenceCorpus, Report
 from evintel.ds import Frame, ValidationError, make_mass, vacuous
 from evintel.oracle import counting_bpa_enumeration, counting_to_mass, prior_to_mass
-from evintel.posterior import (
-    CountingBpa,
-    counting_bpa,
-    posterior_distribution,
-    subset_support,
-)
+from evintel.posterior import counting_bpa, posterior_distribution, subset_support
 
 AB = Frame(("A", "B"))
 
@@ -49,19 +44,15 @@ class TestSubsetSupport:
 class TestCountingBpa:
     def test_worked_example(self):
         cb = counting_bpa([0.8, 0.5])
-        assert cb.at_least[0] == pytest.approx(0.5, abs=1e-12)
-        assert cb.at_least[1] == pytest.approx(0.4, abs=1e-12)
-        assert cb.vacuous == pytest.approx(0.1, abs=1e-12)
+        assert cb[0] == pytest.approx(0.1, abs=1e-12)
+        assert cb[1] == pytest.approx(0.5, abs=1e-12)
+        assert cb[2] == pytest.approx(0.4, abs=1e-12)
 
     def test_certain_single(self):
-        cb = counting_bpa([1.0])
-        assert cb.at_least == (1.0,)
-        assert cb.vacuous == 0.0
+        assert counting_bpa([1.0]) == (0.0, 1.0)
 
     def test_all_zero(self):
-        cb = counting_bpa([0.0, 0.0, 0.0])
-        assert cb.vacuous == 1.0
-        assert all(v == 0.0 for v in cb.at_least)
+        assert counting_bpa([0.0, 0.0, 0.0]) == (1.0, 0.0, 0.0, 0.0)
 
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -72,15 +63,14 @@ class TestCountingBpa:
     def test_matches_enumeration(self, supports):
         fast = counting_bpa(supports)
         slow = counting_bpa_enumeration(supports)
-        assert fast.vacuous == pytest.approx(slow.vacuous, abs=1e-12)
-        for a, b in zip(fast.at_least, slow.at_least):
+        assert len(fast) == len(slow) == len(supports) + 1
+        for a, b in zip(fast, slow):
             assert a == pytest.approx(b, abs=1e-12)
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_masses_sum_to_one(self, supports):
-        cb = counting_bpa(supports)
-        assert math.fsum(cb.at_least) + cb.vacuous == pytest.approx(1.0, abs=1e-9)
+        assert math.fsum(counting_bpa(supports)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestPosterior:
@@ -92,7 +82,7 @@ class TestPosterior:
 
     def test_vacuous_returns_prior(self):
         prior = DomainPrior({1: 0.2, 2: 0.5, 3: 0.3})
-        post = posterior_distribution(CountingBpa((), 1.0), prior)
+        post = posterior_distribution((1.0,), prior)
         assert post == prior.probabilities
 
     def test_gapped_prior_keeps_the_floats_of_its_counts(self):
@@ -144,5 +134,5 @@ class TestCountingToMass:
         assert m.mass(("2",)) == 0.75
 
     def test_vacuous_counting_bpa(self):
-        m = counting_to_mass(CountingBpa((), 1.0), 4)
+        m = counting_to_mass((1.0,), 4)
         assert m == vacuous(Frame(("1", "2", "3", "4")))
