@@ -36,7 +36,6 @@ from .ds import (
 )
 from .pipeline import (
     PipelineConfig,
-    PipelineResult,
     StageError,
     run_pipeline,
 )

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import pipeline as pl
 from . import tracks
-from .cluster import DomainPrior
+from .cluster import DomainPrior, EvidenceCorpus
 from .ds import ValidationError
 from .scenario import ScenarioConfig, generate_scenario
 
@@ -115,13 +115,14 @@ _STAGES = {
 }
 
 
-def _write_dot(result: pl.PipelineResult, dot_path: Path) -> None:
-    graphs = [(tr.block, tr.graph) for tr in result.track_results or () if tr.graph is not None]
-    for block, graph in graphs:
+def _write_dot(corpus: EvidenceCorpus, result: dict, cfg: pl.PipelineConfig, dot_path: Path) -> None:
+    """One DOT file per block with tracked reports, its graph rebuilt from the block's ``reports``."""
+    blocks = [(block, entry["reports"]) for block, entry in result["tracks"].items() if entry["reports"]]
+    for block, report_ids in blocks:
         path = dot_path
-        if len(graphs) > 1:
+        if len(blocks) > 1:
             path = dot_path.with_name(f"{dot_path.stem}_block{block}{dot_path.suffix}")
-        _write(path, tracks.dot_export(graph))
+        _write(path, tracks.dot_export(pl.track_graph(corpus, report_ids, cfg)))
 
 
 def _load(args) -> tuple[dict, str]:
@@ -143,8 +144,8 @@ def _run_stage_command(args) -> int:
     cfg = _config(pl.PipelineConfig, args)
     result = pl.run_pipeline(corpus, prior, cfg, decision=decision, stages=_STAGES[args.command])
     if getattr(args, "dot", None) is not None:
-        _write_dot(result, args.dot)
-    _emit(pl.result_to_json(result), pl.format_result(result), args.out)
+        _write_dot(corpus, result, cfg, args.dot)
+    _emit(result, pl.format_result(result), args.out)
     return 0
 
 
@@ -153,8 +154,8 @@ def _run_decide(args) -> int:
     makers = pl.parse_decision(doc, where=where)
     if makers is None:
         raise ValidationError(f"{where}: no decision section")
-    result = pl.analyze_decision(makers, args.rho)
-    _emit({"decision": pl.decision_to_json(result)}, pl.format_decision(result) + "\n", args.out)
+    decision = pl.analyze_decision(makers, args.rho)
+    _emit({"decision": decision}, pl.format_decision(decision) + "\n", args.out)
     return 0
 
 

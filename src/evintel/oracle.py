@@ -87,12 +87,19 @@ class CheckResult:
         return self.failed == 0
 
 
+def _worst(devs) -> float:
+    """The largest of ``devs``, or NaN if any is NaN: ``max`` keeps a NaN only when it comes first."""
+    devs = list(devs)
+    return math.nan if any(math.isnan(d) for d in devs) else max(devs, default=0.0)
+
+
 def _result(name: str, outcomes: list, tol: float | None = None) -> CheckResult:
     """A check's result from one outcome per trial: whether the trial passed,
-    or, given ``tol``, its largest deviation, which fails above ``tol``."""
+    or, given ``tol``, its largest deviation, which fails unless at most ``tol``
+    (so a NaN fails)."""
     if tol is None:
         return CheckResult(name, len(outcomes), sum(not passed for passed in outcomes))
-    return CheckResult(name, len(outcomes), sum(dev > tol for dev in outcomes), max(outcomes, default=0.0))
+    return CheckResult(name, len(outcomes), sum(not dev <= tol for dev in outcomes), _worst(outcomes))
 
 
 def _normalized(frame: Frame, products: dict[int, float], conflict: float) -> MassFunction:
@@ -699,7 +706,7 @@ def check_counting_bpa(seed: int, trials: int) -> CheckResult:
     devs = []
     for _ in range(trials):
         supports = [rng.random() for _ in range(rng.randint(1, 12))]
-        devs.append(max(abs(x - y) for x, y in zip(counting_bpa(supports), counting_bpa_enumeration(supports))))
+        devs.append(_worst(abs(x - y) for x, y in zip(counting_bpa(supports), counting_bpa_enumeration(supports))))
     return _result("counting bpa vs 2^n enumeration", devs, 1e-12)
 
 
@@ -718,7 +725,7 @@ def check_posterior_combination(seed: int, trials: int) -> CheckResult:
         cb = counting_bpa(supports)
         direct = posterior_distribution(cb, prior)
         combined, _ = reference_combine(counting_to_mass(cb, r_max), prior_to_mass(prior))
-        devs.append(max(abs(direct[r] - combined.mass((str(r),))) for r in range(1, r_max + 1)))
+        devs.append(_worst(abs(direct[r] - combined.mass((str(r),))) for r in range(1, r_max + 1)))
     return _result("posterior vs mass-function combination", devs, 1e-9)
 
 
@@ -729,7 +736,7 @@ def check_track_plausibility(seed: int, trials: int) -> CheckResult:
         g = random_track_graph(rng.randint(2, 5), rng)
         analysis = combine_oracle(g)
         devs.append(
-            max(abs(path_plausibility_unnorm(g, p) - analysis.plausibility_unnorm[p]) for p in all_paths(g))
+            _worst(abs(path_plausibility_unnorm(g, p) - analysis.plausibility_unnorm[p]) for p in all_paths(g))
         )
     return _result("track plausibility closed form vs oracle", devs, 1e-9)
 
@@ -743,7 +750,7 @@ def check_track_normalization(seed: int, trials: int) -> CheckResult:
         analysis = combine_oracle(g)
         conflict, norm = track_conflict(g)
         support_devs = (abs(path_support(g, p, norm) - analysis.support[p]) for p in all_paths(g))
-        devs.append(max(abs(conflict - analysis.conflict), *support_devs))
+        devs.append(_worst((abs(conflict - analysis.conflict), *support_devs)))
     return _result("track conflict and support DP vs oracle", devs, 1e-12)
 
 
@@ -777,7 +784,7 @@ def check_rho_preferences(seed: int, trials: int) -> CheckResult:
             winners = [c.id for c, v in zip(choices, values) if v == best]
             for w in winners:
                 counts[w] += 1.0 / (grid * len(winners))
-        devs.append(max(abs(pref - counts[cid]) for cid, pref in seg.preferences.items()))
+        devs.append(_worst(abs(pref - counts[cid]) for cid, pref in seg.preferences.items()))
     return _result("rho preferences vs grid scan", devs, 2e-4)
 
 
@@ -937,8 +944,8 @@ def check_specify(seed: int, trials: int) -> CheckResult:
                     failures += not 0.0 <= value <= 1.0
                 else:
                     dev = abs(value - expected)
-                    max_dev = max(max_dev, dev)
-                    failures += dev > 16 * PRUNE_EPS / d
+                    max_dev = _worst((max_dev, dev))
+                    failures += not dev <= 16 * PRUNE_EPS / d
         failed += failures > 0
     return CheckResult(f"specify vs reference conflicts ({skipped} range-only)", trials, failed, max_dev)
 

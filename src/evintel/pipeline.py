@@ -2,9 +2,12 @@
 
 One self-describing JSON document carries the frame, the reports, the count
 prior and (optionally) a decision problem, so a run is reproducible from a
-single artifact. The pipeline sequences clustering, membership specification,
-the count posterior and per-cluster track analysis; stage failures are
-wrapped with the stage name.
+single artifact; the reports are taken in id order, whatever their order in
+the file. The pipeline sequences clustering, membership specification, the
+count posterior, per-cluster track analysis and the optional decision
+analysis, and builds the result document stage by stage: ``render_json``
+writes it as ``--out`` and ``format_result`` renders it as tables. Stage
+failures are wrapped with the stage name.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path as FilePath
 
 from . import decide, posterior, specify, tracks
@@ -57,35 +60,6 @@ class PipelineConfig(SearchConfig):
             raise ValidationError("q_cap must lie in [0, 1)")
         if self.rho is not None:
             decide.check_rho(self.rho)
-
-
-@dataclass(frozen=True)
-class TrackResult:
-    block: int
-    report_ids: tuple[str, ...]
-    excluded: tuple[str, ...]
-    graph: tracks.TrackGraph | None
-    best_paths: tuple[tuple[tracks.Path, float], ...]
-    conflict: float | None  # None where tracks.normalize refuses the graph
-    normalized: tuple[tuple[float, float] | None, ...]  # (plausibility, support) per best path
-
-
-@dataclass(frozen=True)
-class DecisionResult:
-    intervals: dict[str, dict[str, tuple[float, float]]]  # maker -> choice -> (low, high)
-    segmentation: decide.RhoSegmentation
-    assignment: dict[str, str] | None  # only when a rho was supplied
-
-
-@dataclass(frozen=True)
-class PipelineResult:
-    partition: Partition
-    metaconflict: MetaConflictReport
-    membership: specify.MembershipSpecification | None
-    posterior: dict[int, float] | None  # count -> probability
-    track_results: tuple[TrackResult, ...] | None
-    decision: DecisionResult | None
-    warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
 ALL_STAGES = frozenset({"specify", "posterior", "tracks"})
@@ -159,6 +133,7 @@ def parse_document(doc: dict, where: str = "input") -> tuple[EvidenceCorpus, Dom
         except ValueError:
             raise ValidationError(f"{loc}: malformed 'time' or 'pos'") from None
         reports.append(Report(rid, evidence, time_s, pos_km))
+    reports.sort(key=lambda r: r.id)  # listing order is not evidence
     try:
         corpus = EvidenceCorpus(frame, tuple(reports))
     except ValidationError as exc:
@@ -234,35 +209,54 @@ def parse_decision(doc: dict, where: str = "input") -> list[decide.DecisionMaker
     return makers
 
 
-def _track_block(
-    corpus: EvidenceCorpus, block_index: int, block: tuple[str, ...], cfg: PipelineConfig
-) -> TrackResult:
+def track_graph(corpus: EvidenceCorpus, report_ids: list[str], cfg: PipelineConfig) -> tracks.TrackGraph:
+    """The kinematic graph of the reports ``report_ids``, vertices ranked 1, 2, ...
+    in the order given; each report needs a time and a position."""
+    reports = [corpus.report(r) for r in report_ids]
+    vertices = tuple(
+        tracks.TrackVertex(rank, r.time_s, r.pos_km) for rank, r in enumerate(reports, start=1)
+    )
+    p = tuple(min(1.0 - r.evidence.theta_mass, P_CAP) for r in reports)
+    return tracks.kinematic_graph(vertices, p, cfg.v_max_kmh, cfg.q_cap)
+
+
+def _track_block(corpus: EvidenceCorpus, block: tuple[str, ...], cfg: PipelineConfig) -> dict:
+    """A block's ``tracks`` entry: its reports with time and position in time
+    order, their best paths, and the reports left out for lack of either."""
     reports = [corpus.report(r) for r in block]
     usable = [r for r in reports if r.time_s is not None and r.pos_km is not None]
     usable.sort(key=lambda r: (r.time_s, r.id))
-    excluded = tuple(r.id for r in reports if r.time_s is None or r.pos_km is None)
-    if not usable:
-        return TrackResult(block_index, (), excluded, None, (), None, ())
-    vertices = tuple(
-        tracks.TrackVertex(rank, r.time_s, r.pos_km) for rank, r in enumerate(usable, start=1)
-    )
-    p = tuple(min(1.0 - r.evidence.theta_mass, P_CAP) for r in usable)
-    graph = tracks.kinematic_graph(vertices, p, cfg.v_max_kmh, cfg.q_cap)
-    best = tuple(tracks.best_path_dp(graph, cfg.top_k))
-    conflict, normalized = tracks.normalize(graph, [path for path, _ in best])
-    return TrackResult(
-        block_index, tuple(r.id for r in usable), excluded, graph, best, conflict, normalized
-    )
+    entry: dict = {"reports": [r.id for r in usable], "best_paths": []}
+    if usable:
+        graph = track_graph(corpus, entry["reports"], cfg)
+        best = tracks.best_path_dp(graph, cfg.top_k)
+        conflict, normalized = tracks.normalize(graph, [path for path, _ in best])
+        for (path, unnorm), values in zip(best, normalized):
+            path_entry: dict = {"vertices": list(path), "plausibility_unnorm": unnorm}
+            if values is not None:
+                path_entry["plausibility_norm"], path_entry["support"] = values
+            entry["best_paths"].append(path_entry)
+        if conflict is not None:
+            entry["conflict"] = conflict
+    excluded = [r.id for r in reports if r.time_s is None or r.pos_km is None]
+    if excluded:
+        entry["excluded"] = excluded
+    return entry
 
 
-def analyze_decision(
-    makers: list[decide.DecisionMaker], rho: float | None = None
-) -> DecisionResult:
+def analyze_decision(makers: list[decide.DecisionMaker], rho: float | None = None) -> dict:
+    """The ``decision`` object of the result document, shared by ``pipeline`` and ``decide``."""
     # played first, so that a rho outside [0, 1] is refused before the sweep over rho
     assignment = decide.sequential_play(makers, rho) if rho is not None else None
-    intervals = {m.id: {c.id: (c.e_low, c.e_high) for c in m.choices} for m in makers}
     segmentation = decide.game_preferences(makers)
-    return DecisionResult(intervals, segmentation, assignment)
+    doc: dict = {
+        "intervals": {m.id: {c.id: [c.e_low, c.e_high] for c in m.choices} for m in makers},
+        "segmentation": [{"lo": s.lo, "hi": s.hi, "winners": list(s.winners)} for s in segmentation.segments],
+        "preferences": dict(segmentation.preferences),
+    }
+    if assignment is not None:
+        doc["assignment"] = assignment
+    return doc
 
 
 def _stage(name: str, fn, *args):
@@ -273,13 +267,25 @@ def _stage(name: str, fn, *args):
         raise StageError(name, exc) from exc
 
 
-def _posterior(corpus: EvidenceCorpus, partition: Partition, prior: DomainPrior) -> dict[int, float]:
+def _membership(partition: Partition, prior: DomainPrior) -> dict:
+    spec = specify.specify_corpus(partition, prior)
+    return {
+        rid: {
+            "plausibility": {str(k): v for k, v in pl.items()},
+            "weights": {str(k): v for k, v in spec.weights[rid].items()},
+        }
+        for rid, pl in spec.plausibility.items()
+    }
+
+
+def _posterior(corpus: EvidenceCorpus, partition: Partition, prior: DomainPrior) -> dict:
     supports = [posterior.subset_support(corpus, b) for b in partition.blocks]
-    return posterior.posterior_distribution(posterior.counting_bpa(supports), prior)
+    post = posterior.posterior_distribution(posterior.counting_bpa(supports), prior)
+    return {str(r): p for r, p in post.items()}
 
 
-def _track_blocks(corpus: EvidenceCorpus, partition: Partition, cfg: PipelineConfig) -> tuple[TrackResult, ...]:
-    return tuple(_track_block(corpus, i, b, cfg) for i, b in enumerate(partition.blocks))
+def _track_blocks(corpus: EvidenceCorpus, partition: Partition, cfg: PipelineConfig) -> dict:
+    return {str(i): _track_block(corpus, b, cfg) for i, b in enumerate(partition.blocks)}
 
 
 def run_pipeline(
@@ -288,86 +294,30 @@ def run_pipeline(
     cfg: PipelineConfig = PipelineConfig(),
     decision: list[decide.DecisionMaker] | None = None,
     stages: frozenset[str] = ALL_STAGES,
-) -> PipelineResult:
-    """cluster -> specify -> posterior -> per-cluster tracks -> optional decision."""
+) -> dict:
+    """cluster -> specify -> posterior -> per-cluster tracks -> optional decision,
+    as the result document that ``render_json`` writes. A stage left out, or
+    no decision section, leaves out its key."""
     partition, mcr = _stage("cluster", partition_search, corpus, prior, cfg)
-    membership = _stage("specify", specify.specify_corpus, partition, prior) if "specify" in stages else None
-    post = _stage("posterior", _posterior, corpus, partition, prior) if "posterior" in stages else None
-    track_results = _stage("tracks", _track_blocks, corpus, partition, cfg) if "tracks" in stages else None
-    decision_result = _stage("decide", analyze_decision, decision, cfg.rho) if decision is not None else None
-    warnings = tuple(
-        f"block {tr.block}: report {rid!r} lacks time/pos, not tracked"
-        for tr in track_results or ()
-        for rid in tr.excluded
-    )
-    return PipelineResult(partition, mcr, membership, post, track_results, decision_result, warnings)
-
-
-def _membership_json(membership: specify.MembershipSpecification) -> dict:
-    out: dict[str, dict] = {}
-    for rid, pl in membership.plausibility.items():
-        out[rid] = {
-            "plausibility": {str(k): v for k, v in pl.items()},
-            "weights": {str(k): v for k, v in membership.weights[rid].items()},
-        }
-    return out
-
-
-def _tracks_json(track_results: tuple[TrackResult, ...]) -> dict:
-    out: dict[str, dict] = {}
-    for tr in track_results:
-        paths = []
-        for (path, unnorm), values in zip(tr.best_paths, tr.normalized):
-            entry: dict = {"vertices": list(path), "plausibility_unnorm": unnorm}
-            if values is not None:
-                entry["plausibility_norm"], entry["support"] = values
-            paths.append(entry)
-        block: dict = {"reports": list(tr.report_ids), "best_paths": paths}
-        if tr.conflict is not None:
-            block["conflict"] = tr.conflict
-        if tr.excluded:
-            block["excluded"] = list(tr.excluded)
-        out[str(tr.block)] = block
-    return out
-
-
-def decision_to_json(decision: DecisionResult) -> dict:
-    """The ``decision`` object of the result JSON, shared by ``pipeline`` and ``decide``."""
     doc: dict = {
-        "intervals": {
-            m: {c: [lo, hi] for c, (lo, hi) in choices.items()}
-            for m, choices in decision.intervals.items()
-        },
-        "segmentation": [
-            {"lo": s.lo, "hi": s.hi, "winners": list(s.winners)}
-            for s in decision.segmentation.segments
-        ],
-        "preferences": dict(decision.segmentation.preferences),
+        "partition": [list(b) for b in partition.blocks],
+        "metaconflict": {"c0": mcr.c0, "clusters": list(mcr.cluster_conflicts), "mcf": mcr.mcf},
     }
-    if decision.assignment is not None:
-        doc["assignment"] = decision.assignment
-    return doc
-
-
-def result_to_json(result: PipelineResult) -> dict:
-    doc: dict = {
-        "partition": [list(b) for b in result.partition.blocks],
-        "metaconflict": {
-            "c0": result.metaconflict.c0,
-            "clusters": list(result.metaconflict.cluster_conflicts),
-            "mcf": result.metaconflict.mcf,
-        },
-    }
-    if result.membership is not None:
-        doc["membership"] = _membership_json(result.membership)
-    if result.posterior is not None:
-        doc["posterior"] = {str(r): p for r, p in result.posterior.items()}
-    if result.track_results is not None:
-        doc["tracks"] = _tracks_json(result.track_results)
-    if result.decision is not None:
-        doc["decision"] = decision_to_json(result.decision)
-    if result.warnings:
-        doc["warnings"] = list(result.warnings)
+    if "specify" in stages:
+        doc["membership"] = _stage("specify", _membership, partition, prior)
+    if "posterior" in stages:
+        doc["posterior"] = _stage("posterior", _posterior, corpus, partition, prior)
+    if "tracks" in stages:
+        doc["tracks"] = _stage("tracks", _track_blocks, corpus, partition, cfg)
+    if decision is not None:
+        doc["decision"] = _stage("decide", analyze_decision, decision, cfg.rho)
+    warnings = [
+        f"block {block}: report {rid!r} lacks time/pos, not tracked"
+        for block, entry in doc.get("tracks", {}).items()
+        for rid in entry.get("excluded", ())
+    ]
+    if warnings:
+        doc["warnings"] = warnings
     return doc
 
 
@@ -383,71 +333,67 @@ def _table(rows: list[list[str]], header: list[str]) -> str:
     return "\n".join(lines)
 
 
-def format_decision(decision: DecisionResult) -> str:
-    """The decision tables, shared by ``pipeline`` and ``decide``."""
+def format_decision(decision: dict) -> str:
+    """The decision tables of a ``decision`` object, shared by ``pipeline`` and ``decide``."""
     rows = [
         [m, c, f"{lo:.6f}", f"{hi:.6f}"]
-        for m, choices in decision.intervals.items()
+        for m, choices in decision["intervals"].items()
         for c, (lo, hi) in choices.items()
     ]
     parts = ["Decision analysis", _table(rows, ["maker", "choice", "E_low", "E_high"])]
-    rows = [[f"[{s.lo:.6f}, {s.hi:.6f}]", " ".join(s.winners)] for s in decision.segmentation.segments]
+    rows = [[f"[{s['lo']:.6f}, {s['hi']:.6f}]", " ".join(s["winners"])] for s in decision["segmentation"]]
     parts.append(_table(rows, ["rho interval", "winner"]))
-    rows = [[c, f"{p:.6f}"] for c, p in sorted(decision.segmentation.preferences.items())]
+    rows = [[c, f"{p:.6f}"] for c, p in sorted(decision["preferences"].items())]
     parts.append(_table(rows, ["choice", "preference"]))
-    if decision.assignment is not None:
-        rows = [[m, c] for m, c in decision.assignment.items()]
+    if "assignment" in decision:
+        rows = [[m, c] for m, c in decision["assignment"].items()]
         parts.append(_table(rows, ["maker", "plays"]))
     return "\n".join(parts)
 
 
-def format_result(result: PipelineResult) -> str:
-    """Aligned human-readable tables; plausibilities with 6 decimals."""
+def format_result(result: dict) -> str:
+    """Aligned human-readable tables of a result document; plausibilities with 6 decimals."""
     parts: list[str] = []
-    mc = result.metaconflict
+    mc = result["metaconflict"]
     rows = [
         [str(i), str(len(b)), f"{c:.6f}", " ".join(b)]
-        for i, (b, c) in enumerate(zip(result.partition.blocks, mc.cluster_conflicts))
+        for i, (b, c) in enumerate(zip(result["partition"], mc["clusters"]))
     ]
-    parts.append("Partition (c0 = {:.6f}, mcf = {:.6f})".format(mc.c0, mc.mcf))
+    parts.append("Partition (c0 = {:.6f}, mcf = {:.6f})".format(mc["c0"], mc["mcf"]))
     parts.append(_table(rows, ["block", "size", "conflict", "reports"]))
 
-    if result.posterior is not None:
-        rows = [[str(r), f"{p:.6f}"] for r, p in result.posterior.items()]
+    if "posterior" in result:
+        rows = [[r, f"{p:.6f}"] for r, p in result["posterior"].items()]
         parts.append("\nPosterior over number of events")
         parts.append(_table(rows, ["count", "probability"]))
 
-    if result.membership is not None:
-        n_blocks = result.partition.n_blocks
-        header = ["report"] + [f"w{k}" for k in range(n_blocks)] + ["pls(new)"]
-        rows = []
-        for rid in result.partition.corpus.ids:
-            w = result.membership.weights[rid]
-            pl = result.membership.plausibility[rid]
-            rows.append(
-                [rid]
-                + [f"{w[k]:.6f}" for k in range(n_blocks)]
-                + [f"{pl[specify.NEW_BLOCK]:.6f}"]
-            )
+    if "membership" in result:
+        header = ["report"] + [f"w{k}" for k in range(len(result["partition"]))] + ["pls(new)"]
+        rows = [
+            [rid]
+            + [f"{w:.6f}" for w in m["weights"].values()]
+            + [f"{m['plausibility'][specify.NEW_BLOCK]:.6f}"]
+            for rid, m in result["membership"].items()
+        ]
         parts.append("\nMembership weights")
         parts.append(_table(rows, header))
 
-    for tr in result.track_results or ():
-        parts.append(f"\nTracks for block {tr.block} ({len(tr.report_ids)} position reports)")
-        if not tr.best_paths:
+    for block, entry in result.get("tracks", {}).items():
+        parts.append(f"\nTracks for block {block} ({len(entry['reports'])} position reports)")
+        if not entry["best_paths"]:
             parts.append("  no reports with time and position")
             continue
         rows = []
-        for (path, unnorm), values in zip(tr.best_paths, tr.normalized):
-            norm, sup = (f"{x:.6f}" for x in values) if values is not None else ("n/a", "n/a")
-            rows.append(["-".join(map(str, path)), f"{unnorm:.6f}", norm, sup])
+        for path in entry["best_paths"]:
+            normalized = [f"{path[k]:.6f}" if k in path else "n/a" for k in ("plausibility_norm", "support")]
+            rows.append(["-".join(map(str, path["vertices"])), f"{path['plausibility_unnorm']:.6f}", *normalized])
         parts.append(_table(rows, ["path", "pls_unnorm", "pls_norm", "support"]))
-        if tr.conflict is not None:
-            parts.append(f"  combination conflict: {tr.conflict:.6f}")
+        if "conflict" in entry:
+            parts.append(f"  combination conflict: {entry['conflict']:.6f}")
 
-    if result.decision is not None:
-        parts.append("\n" + format_decision(result.decision))
+    if "decision" in result:
+        parts.append("\n" + format_decision(result["decision"]))
 
-    for w in result.warnings:
+    for w in result.get("warnings", ()):
         parts.append(f"warning: {w}")
     return "\n".join(parts) + "\n"

@@ -2,8 +2,10 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -163,6 +165,18 @@ class TestStageCommands:
         assert dot.exists()
         assert "digraph" in dot.read_text()
 
+    def test_pipeline_dot_files_are_pinned(self, tmp_path):
+        # one file per block of the gen --seed 3 3x4 corpus, byte for byte
+        corpus = tmp_path / "corpus.json"
+        assert main(["gen", "--seed", "3", "--targets", "3", "--reports-per-target", "4", "--out", str(corpus)]) == 0
+        assert main(["pipeline", str(corpus), "--dot", str(tmp_path / "g.dot")]) == 0
+        digests = {d.name: hashlib.sha256(d.read_bytes()).hexdigest() for d in tmp_path.glob("*.dot")}
+        assert digests == {
+            "g_block0.dot": "ac091af28d9224d6e4e40eb13b4eb6a21bee2f43fcd17cc0c4309a81ba91a46a",
+            "g_block1.dot": "929f7df04642d65026e720f301acd54e09eb26ee759cb35f6c9afa8b2d5a1bda",
+            "g_block2.dot": "b5bd719dbf381637c134ea344cb1d8ef9d2171b93a9b0fed38d642db96e879f6",
+        }
+
     def test_pipeline_full(self, scenario_file, tmp_path):
         out = tmp_path / "out.json"
         assert main(["pipeline", str(scenario_file), "--out", str(out)]) == 0
@@ -208,7 +222,7 @@ class TestConfigFlags:
         corpus, prior = pipeline.parse_document(pipeline.load_document(path), where=str(path))
         result = pipeline.run_pipeline(corpus, prior, pipeline.PipelineConfig())
         assert capsys.readouterr().out == pipeline.format_result(result)
-        assert out.read_text() == pipeline.render_json(pipeline.result_to_json(result))
+        assert out.read_text() == pipeline.render_json(result)
 
 
 SET = ("reports", 0, "masses", 0, "set")
@@ -514,8 +528,15 @@ class TestOracleCheck:
         assert pass_fail.startswith("FAIL") and pass_fail.endswith("failed 2 of 5")
         assert "max_dev" not in pass_fail
 
+    def test_a_nan_deviation_fails_its_trial(self):
+        # max() and "dev > tol" both let a NaN through
+        result = oracle._result("x", [0.0, float("nan")], 1e-9)
+        assert result.failed == 1
+        assert math.isnan(result.max_dev)
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def run_python(*args: str, cwd: Path) -> subprocess.CompletedProcess:
@@ -531,6 +552,8 @@ class TestSubprocessRuns:
     def test_example_script_exits_0(self, script, tmp_path):
         done = run_python(str(script), cwd=tmp_path)
         assert done.returncode == 0, done.stderr
+        if script.name == "descent_counts.py":  # its work counts are checked in
+            assert done.stdout == (ROOT / "BENCH_counts.txt").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("args", [(), ("--trials", "100", "--seed", "7")])
     def test_oracle_check_reports_every_entry_ok(self, args, tmp_path):

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -14,8 +16,8 @@ from evintel.pipeline import (
     parse_decision,
     parse_document,
     render_json,
-    result_to_json,
     run_pipeline,
+    track_graph,
 )
 from evintel.scenario import ScenarioConfig, generate_scenario_doc
 
@@ -157,13 +159,13 @@ class TestRunPipeline:
         doc = generate_scenario_doc(ScenarioConfig(seed=3, targets=3, reports_per_target=4))
         corpus, prior = parse_document(doc)
         result = run_pipeline(corpus, prior, PipelineConfig(seed=0, restarts=20))
-        assert result.partition.n_blocks == 3
+        assert len(result["partition"]) == 3
         _, best = exhaustive_search(corpus, prior)
-        assert result.metaconflict.mcf == pytest.approx(best.mcf, abs=1e-9)
-        post = result.posterior
-        assert max(post, key=lambda r: (post[r], -r)) == 3
-        assert result.membership is not None
-        assert len(result.track_results) == 3
+        assert result["metaconflict"]["mcf"] == pytest.approx(best.mcf, abs=1e-9)
+        post = result["posterior"]
+        assert max(post, key=lambda r: (post[r], -int(r))) == "3"
+        assert "membership" in result
+        assert len(result["tracks"]) == 3
 
     def test_single_report(self):
         corpus = EvidenceCorpus(
@@ -171,9 +173,9 @@ class TestRunPipeline:
         )
         prior = DomainPrior({1: 0.7, 2: 0.3})
         result = run_pipeline(corpus, prior)
-        assert result.partition.blocks == (("r1",),)
-        assert result.metaconflict.mcf == pytest.approx(0.3)  # domain conflict only
-        assert result.metaconflict.cluster_conflicts == (0.0,)
+        assert result["partition"] == [["r1"]]
+        assert result["metaconflict"]["mcf"] == pytest.approx(0.3)  # domain conflict only
+        assert result["metaconflict"]["clusters"] == [0.0]
 
     def test_missing_metadata_warns_not_fails(self):
         corpus = EvidenceCorpus(
@@ -184,20 +186,20 @@ class TestRunPipeline:
             ),
         )
         result = run_pipeline(corpus, DomainPrior({1: 1.0}))
-        assert any("lacks time/pos" in w for w in result.warnings)
-        tr = result.track_results[0]
-        assert tr.report_ids == ("r1",)
-        assert tr.excluded == ("r2",)
-        assert tr.best_paths[0][0] == (1,)
+        assert any("lacks time/pos" in w for w in result["warnings"])
+        block = result["tracks"]["0"]
+        assert block["reports"] == ["r1"]
+        assert block["excluded"] == ["r2"]
+        assert block["best_paths"][0]["vertices"] == [1]
 
     def test_block_without_any_metadata_renders(self):
         corpus = EvidenceCorpus(
             AB, (Report("r1", make_mass(AB, [(("A",), 0.6), (("A", "B"), 0.4)])),)
         )
         result = run_pipeline(corpus, DomainPrior({1: 1.0}))
-        tr = result.track_results[0]
-        assert tr.graph is None
-        assert tr.best_paths == ()
+        block = result["tracks"]["0"]
+        assert block["reports"] == []  # no graph to build
+        assert block["best_paths"] == []
         assert "no reports with time" in format_result(result)
 
     def test_categorical_report_vertex_mass_capped(self):
@@ -209,16 +211,15 @@ class TestRunPipeline:
             ),
         )
         result = run_pipeline(corpus, DomainPrior({1: 1.0}))
-        graph = result.track_results[0].graph
-        assert graph is not None
+        graph = track_graph(corpus, result["tracks"]["0"]["reports"], PipelineConfig())
+        assert graph.n == 2
         assert graph.p[0] < 1.0  # m(frame) = 0 would otherwise give p = 1
 
     def test_no_decision_means_no_decision_output(self):
         doc = generate_scenario_doc(ScenarioConfig(seed=1, targets=2, reports_per_target=2))
         corpus, prior = parse_document(doc)
         result = run_pipeline(corpus, prior, PipelineConfig(restarts=5))
-        assert result.decision is None
-        assert "decision" not in result_to_json(result)
+        assert "decision" not in result
 
     @pytest.mark.parametrize("stage", list(BROKEN_STAGE))
     def test_stage_error_is_wrapped(self, tmp_path, capsys, monkeypatch, stage):
@@ -244,7 +245,7 @@ class TestRunPipeline:
         )
         corpus, _ = parse_document(generate_scenario_doc(cfg))
         result = run_pipeline(corpus, DomainPrior({1: 1.0}), PipelineConfig(restarts=2))
-        (block,) = result_to_json(result)["tracks"].values()
+        (block,) = result["tracks"].values()
         assert len(block["reports"]) == n_reports
         normalized = n_reports <= 12
         assert ("conflict" in block) is normalized
@@ -258,19 +259,17 @@ class TestRunPipeline:
         doc = generate_scenario_doc(ScenarioConfig(seed=1, targets=2, reports_per_target=2))
         corpus, prior = parse_document(doc)
         result = run_pipeline(corpus, prior, PipelineConfig(restarts=5), stages=frozenset())
-        assert result.membership is None
-        assert result.posterior is None
-        assert result.track_results is None
-        out = result_to_json(result)
-        assert set(out) == {"partition", "metaconflict"}
+        assert "membership" not in result
+        assert "posterior" not in result
+        assert "tracks" not in result
+        assert set(result) == {"partition", "metaconflict"}
 
 
 class TestOutputs:
     def test_json_schema_keys(self):
         doc = generate_scenario_doc(ScenarioConfig(seed=5, targets=2, reports_per_target=3))
         corpus, prior = parse_document(doc)
-        result = run_pipeline(corpus, prior, PipelineConfig(restarts=10))
-        out = result_to_json(result)
+        out = run_pipeline(corpus, prior, PipelineConfig(restarts=10))
         assert {"partition", "metaconflict", "membership", "posterior", "tracks"} <= set(out)
         assert set(out["metaconflict"]) == {"c0", "clusters", "mcf"}
         for block in out["tracks"].values():
@@ -280,9 +279,9 @@ class TestOutputs:
     def test_render_json_deterministic(self):
         doc = generate_scenario_doc(ScenarioConfig(seed=5, targets=2, reports_per_target=3))
         corpus, prior = parse_document(doc)
-        a = render_json(result_to_json(run_pipeline(corpus, prior, PipelineConfig(restarts=8))))
+        a = render_json(run_pipeline(corpus, prior, PipelineConfig(restarts=8)))
         corpus2, prior2 = parse_document(doc)
-        b = render_json(result_to_json(run_pipeline(corpus2, prior2, PipelineConfig(restarts=8))))
+        b = render_json(run_pipeline(corpus2, prior2, PipelineConfig(restarts=8)))
         assert a == b
 
     def test_format_result_mentions_key_sections(self):
@@ -335,10 +334,31 @@ def test_pipeline_outputs_are_pinned():
     for targets, per_target in ((3, 4), (4, 6), (5, 6), (6, 8)):
         doc = generate_scenario_doc(ScenarioConfig(seed=3, targets=targets, reports_per_target=per_target))
         result = run_pipeline(*parse_document(doc))
-        digest.update(render_json(result_to_json(result)).encode())
+        digest.update(render_json(result).encode())
         digest.update(format_result(result).encode())
     corpus, prior = parse_document(PINNED_DECISION_DOC)
     result = run_pipeline(corpus, prior, PipelineConfig(rho=0.5), decision=parse_decision(PINNED_DECISION_DOC))
-    digest.update(render_json(result_to_json(result)).encode())
+    digest.update(render_json(result).encode())
     digest.update(format_result(result).encode())
     assert digest.hexdigest() == "cf6bba16f247587c089f7d59bd303193083774f5ab34c7474a84b335408ffbf2"
+
+
+@pytest.mark.parametrize("corpus", ["gen", "decision"])
+def test_listing_order_is_not_evidence(corpus, tmp_path, capsys):
+    # the gen --seed 3 3x4 corpus and the pinned decision corpus, as listed
+    # and in three shuffles: the pipeline's tables and JSON, byte for byte
+    doc = PINNED_DECISION_DOC
+    if corpus == "gen":
+        doc = generate_scenario_doc(ScenarioConfig(seed=3, targets=3, reports_per_target=4))
+    outputs = set()
+    for k in range(4):
+        shuffled = copy.deepcopy(doc)
+        if k:
+            random.Random(k).shuffle(shuffled["reports"])
+            ids = [r["id"] for r in shuffled["reports"]]
+            assert ids != sorted(ids)
+        path, out = tmp_path / f"corpus{k}.json", tmp_path / f"out{k}.json"
+        path.write_text(json.dumps(shuffled), encoding="utf-8")
+        assert main(["pipeline", str(path), "--out", str(out)]) == 0
+        outputs.add((capsys.readouterr().out, out.read_text(encoding="utf-8")))
+    assert len(outputs) == 1
