@@ -817,24 +817,6 @@ def check_partition_branch_and_bound(seed: int, trials: int) -> CheckResult:
     return _result("partition branch-and-bound vs enumeration", passes)
 
 
-def descents_agree(
-    corpus: EvidenceCorpus, prior: DomainPrior, start: Sequence[Sequence[str]], max_sweeps: int
-) -> bool:
-    """``cluster._descend`` and ``reference_descent`` from the same start: the
-    same blocks in the same order, a bit-equal mcf, every canonical conflict
-    in the descent's store bit-equal to ``reference_conflict``, which folds
-    ``reference_combine`` and so shares no step with the descent, and every
-    one-step value in the store within ``IMPROVEMENT_TOL / 10`` of it."""
-    store: dict[frozenset[int], BlockValues] = {}
-    blocks, mcf = _descend(corpus, prior, [list(b) for b in start], max_sweeps, store)
-    ref_blocks, ref_mcf = reference_descent(corpus, prior, [list(b) for b in start], max_sweeps)
-    return (
-        blocks == [sorted(b, key=corpus.index_of) for b in ref_blocks]
-        and mcf == ref_mcf
-        and store_matches_reference(corpus, store, IMPROVEMENT_TOL / 10)
-    )
-
-
 def store_matches_reference(
     corpus: EvidenceCorpus, store: dict[frozenset[int], BlockValues], tol: float
 ) -> bool:
@@ -849,17 +831,21 @@ def store_matches_reference(
     )
 
 
-def descents_part_only_at_near_ties(
-    corpus: EvidenceCorpus, prior: DomainPrior, start: Sequence[Sequence[str]], max_sweeps: int
+def descents_agree(
+    corpus: EvidenceCorpus, prior: DomainPrior, start: Sequence[Sequence[str]], max_sweeps: int, tol: float
 ) -> bool:
-    """``descents_agree`` where moved values carry dust, as on masses spread
-    over many orders of magnitude: every canonical conflict in the
-    descent's store is bit-equal to ``reference_conflict``; every one-step
-    value in it is within ``8 * PRUNE_EPS`` of it (the dust each fold order
-    drops: at most 1.7e-12 over 3,000 spread-mass descents); and the two
-    descents return the same blocks and a bit-equal mcf or, at the first
-    sweep where their blocks part, partitions whose canonical mcf are within
-    ``4 * IMPROVEMENT_TOL`` (two moves, or a move and a stop, that close)."""
+    """``cluster._descend`` and ``reference_descent`` from the same start.
+
+    Every canonical conflict in the descent's store must be bit-equal to
+    ``reference_conflict``, which folds ``reference_combine`` and so shares no
+    step with the descent, and every one-step value in it within ``tol`` of
+    it. The two descents must return the same blocks and a bit-equal mcf or,
+    at the first sweep where their blocks part, partitions whose canonical mcf
+    are within ``4 * IMPROVEMENT_TOL``: two moves, or a move and a stop, that
+    close, which the descent may order the other way since it scores moves by
+    moved values (see ``_descend``). Such partings are rare: 6 of 24,000
+    ``check_partition_descent`` trials on ordinary corpora, by 1.1e-16, and
+    14 of 8,000 spread-mass descents, by at most 2.9e-13."""
     store: dict[frozenset[int], BlockValues] = {}
 
     def both(sweeps: int) -> tuple[bool, float, float]:
@@ -878,12 +864,17 @@ def descents_part_only_at_near_ties(
             if mcf != ref_mcf:
                 return False
         near = abs(mcf - ref_mcf) <= 4 * IMPROVEMENT_TOL
-    return near and store_matches_reference(corpus, store, 8 * PRUNE_EPS)
+    return near and store_matches_reference(corpus, store, tol)
 
 
 def check_partition_descent(seed: int, trials: int) -> CheckResult:
     """``descents_agree`` on mixed, separable and all-categorical corpora with
-    random priors, some runs cut after one or two sweeps."""
+    random priors, some runs cut after one or two sweeps. Moved values here
+    differ from canonical ones by rounding only, so each one-step value must
+    lie within ``IMPROVEMENT_TOL / 10``; yet the descent still parts from the
+    reference at one-ulp ties: in 6 of 24,000 trials (seeds 100-139, 600
+    trials each), all on mixed corpora of 4 to 12 reports, at sweep 1 or 2,
+    between partitions whose canonical mcf differed by 1.1e-16."""
     rng = random.Random(seed)
     passes = []
     for t in range(trials):
@@ -896,13 +887,15 @@ def check_partition_descent(seed: int, trials: int) -> CheckResult:
         n = len(corpus.reports)
         prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.4)
         start = _random_start(corpus, prior, rng)
-        passes.append(descents_agree(corpus, prior, start, rng.choice((1, 2, 200))))
+        passes.append(descents_agree(corpus, prior, start, rng.choice((1, 2, 200)), IMPROVEMENT_TOL / 10))
     return _result("partition descent vs reference descent", passes)
 
 
 def check_partition_descent_spread(seed: int, trials: int) -> CheckResult:
-    """``descents_part_only_at_near_ties`` on ``spread_corpus`` corpora, spread
-    over 8 or 14 orders of magnitude, with random priors."""
+    """``descents_agree`` on ``spread_corpus`` corpora, spread over 8 or 14
+    orders of magnitude, with random priors. Each one-step value must lie
+    within ``8 * PRUNE_EPS`` of the canonical one: the dust each fold order
+    drops, at most 1.7e-12 over 3,000 spread-mass descents."""
     rng = random.Random(seed)
     passes = []
     for t in range(trials):
@@ -910,7 +903,7 @@ def check_partition_descent_spread(seed: int, trials: int) -> CheckResult:
         corpus = spread_corpus(rng, n, 8.0 if t % 2 else 14.0)
         prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.3)
         start = _random_start(corpus, prior, rng)
-        passes.append(descents_part_only_at_near_ties(corpus, prior, start, rng.choice((1, 2, 200))))
+        passes.append(descents_agree(corpus, prior, start, rng.choice((1, 2, 200)), 8 * PRUNE_EPS))
     return _result("partition descent vs reference, spread masses", passes)
 
 

@@ -84,10 +84,7 @@ def _parse_masses(frame: Frame, raw: object, where: str) -> MassFunction:
         if not isinstance(members, list) or not all(isinstance(e, str) for e in members):
             raise ValidationError(f"{loc}: 'set' must be a list of frame elements")
         entries.append((tuple(members), _number(item["mass"], f"{loc}: 'mass'")))
-    try:
-        return make_mass(frame, entries)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+    return _located(where, make_mass, frame, entries)
 
 
 def parse_document(doc: dict, where: str = "input") -> tuple[EvidenceCorpus, DomainPrior]:
@@ -97,10 +94,7 @@ def parse_document(doc: dict, where: str = "input") -> tuple[EvidenceCorpus, Dom
         raise ValidationError(f"{where}: 'frame' and 'reports' must be lists")
     if not all(isinstance(e, str) for e in doc["frame"]):
         raise ValidationError(f"{where}: 'frame' elements must be strings")
-    try:
-        frame = Frame(tuple(doc["frame"]))
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: 'frame': {exc}") from None
+    frame = _located(f"{where}: 'frame'", Frame, tuple(doc["frame"]))
     try:
         probabilities = {int(k): _number(v, "'prior'") for k, v in doc["prior"].items()}
     except (TypeError, AttributeError, ValueError):
@@ -108,10 +102,7 @@ def parse_document(doc: dict, where: str = "input") -> tuple[EvidenceCorpus, Dom
     for k in doc["prior"]:
         if str(int(k)) != k:  # "01" would collide with "1", and "1_0" read as 10
             raise ValidationError(f"{where}: 'prior': count {k!r} must be written in plain decimal digits")
-    try:
-        prior = DomainPrior(probabilities)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: 'prior': {exc}") from None
+    prior = _located(f"{where}: 'prior'", DomainPrior, probabilities)
     reports = []
     for i, raw in enumerate(doc["reports"]):
         loc = f"{where}: reports[{i}]"
@@ -125,20 +116,16 @@ def parse_document(doc: dict, where: str = "input") -> tuple[EvidenceCorpus, Dom
         try:
             time_s = _number(raw["time"], "'time'") if "time" in raw else None
             pos = raw.get("pos")
-            if pos is not None and not (isinstance(pos, list) and len(pos) == 2):
+            if "pos" in raw and not (isinstance(pos, list) and len(pos) == 2):  # null is refused, as for 'time'
                 raise ValueError("'pos' is not a pair")
-            pos_km = (_number(pos[0], "'pos'"), _number(pos[1], "'pos'")) if pos is not None else None
+            pos_km = (_number(pos[0], "'pos'"), _number(pos[1], "'pos'")) if "pos" in raw else None
             if not all(math.isfinite(x) for x in (time_s, *(pos_km or ())) if x is not None):
                 raise ValueError("non-finite time or position")
         except ValueError:
             raise ValidationError(f"{loc}: malformed 'time' or 'pos'") from None
         reports.append(Report(rid, evidence, time_s, pos_km))
     reports.sort(key=lambda r: r.id)  # listing order is not evidence
-    try:
-        corpus = EvidenceCorpus(frame, tuple(reports))
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
-    return corpus, prior
+    return _located(where, EvidenceCorpus, frame, tuple(reports)), prior
 
 
 def load_document(path: str | FilePath) -> dict:
@@ -199,10 +186,7 @@ def parse_decision(doc: dict, where: str = "input") -> list[decide.DecisionMaker
             choice_ids.add(cid)
             loc = f"{where}: choice {cid!r}"
             mass = _parse_masses(frame, raw_choice.get("masses"), loc)
-            try:
-                choices.append(decide.expected_interval(mass, utilities, cid))
-            except ValidationError as exc:
-                raise ValidationError(f"{loc}: {exc}") from None
+            choices.append(_located(loc, decide.expected_interval, mass, utilities, cid))
         makers.append(decide.DecisionMaker(mid, tuple(choices)))
     if not makers:
         raise ValidationError(f"{where}: decision section has no decision makers")
@@ -257,6 +241,14 @@ def analyze_decision(makers: list[decide.DecisionMaker], rho: float | None = Non
     if assignment is not None:
         doc["assignment"] = assignment
     return doc
+
+
+def _located(where: str, fn, *args):
+    """``fn(*args)``, with a ``ValidationError`` raised again prefixed by the location ``where``."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _stage(name: str, fn, *args):

@@ -1,15 +1,11 @@
-"""Shared strategies, generators and brute-force oracles for the test suite."""
+"""Shared builders and brute-force oracles for the test suite."""
 
 from __future__ import annotations
 
 from itertools import product
 
-from hypothesis import strategies as st
-
 from evintel.cluster import EvidenceCorpus, Report
-from evintel.ds import Frame, make_mass
-
-ABCD = Frame(("a", "b", "c", "d"))
+from evintel.ds import make_mass
 
 
 def simple(frame, element, w):
@@ -19,31 +15,6 @@ def simple(frame, element, w):
 
 def corpus_of(frame, *pairs):
     return EvidenceCorpus(frame, tuple(Report(rid, m) for rid, m in pairs))
-
-
-@st.composite
-def mass_entries(draw, frame: Frame = ABCD, max_focals: int = 3):
-    """Weights for a few random focal sets plus a guaranteed frame remainder."""
-    n = draw(st.integers(1, max_focals))
-    subsets = []
-    for _ in range(n):
-        members = draw(
-            st.lists(st.sampled_from(frame.elements), min_size=1, unique=True)
-        )
-        subsets.append(tuple(sorted(members)))
-    weights = draw(
-        st.lists(st.floats(0.01, 1.0), min_size=len(subsets), max_size=len(subsets))
-    )
-    theta = draw(st.floats(0.05, 1.0))
-    total = sum(weights) + theta
-    entries = [(s, w / total) for s, w in zip(subsets, weights)]
-    entries.append((frame.elements, theta / total))
-    return entries
-
-
-@st.composite
-def masses(draw, frame: Frame = ABCD, max_focals: int = 3):
-    return make_mass(frame, draw(mass_entries(frame, max_focals)))
 
 
 # --- sequential-game oracles (strategy tables over explicit histories) -------

@@ -6,6 +6,7 @@ configurable. Criteria 1, 5, 6 and 8 run the ``oracle.check_*`` entries that
 ``oracle-check`` runs, with their own seeds, and take the entries' tolerances.
 """
 
+import math
 import random
 import time
 
@@ -65,6 +66,10 @@ def test_c1_dempster_core_algebra():
     for _ in range(200):
         m1, m2 = random_mass(FRAME, rng), random_mass(FRAME, rng)
         a, ca = combine_dempster(m1, m2)
+        assert 0.0 <= ca < 1.0
+        assert abs(math.fsum(a.masses.values()) - 1.0) <= 1e-9
+        assert all(v > 0 for v in a.masses.values())
+        assert 0 not in a.masses
         b, cb = combine_dempster(m2, m1)
         assert abs(ca - cb) <= 1e-9
         assert set(a.masses) == set(b.masses)
@@ -82,7 +87,7 @@ def test_c1_dempster_core_algebra():
 
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    _passed("1", "commutativity 200, associativity 100, conflict identity 100", elapsed)
+    _passed("1", "commutativity and mass invariants 200, associativity 100, conflict identity 100", elapsed)
 
 
 def test_c2_clustering_optimality():

@@ -288,7 +288,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("time", float("inf")), ("pos", [float("nan"), 0.0]), ("time", "5"), ("pos", [1.0, 2.0, 3.0])],
+        [
+            ("time", float("inf")),
+            ("pos", [float("nan"), 0.0]),
+            ("time", "5"),
+            ("pos", [1.0, 2.0, 3.0]),
+            ("time", None),
+            ("pos", None),
+        ],
     )
     def test_non_finite_time_or_pos_exit_2(self, scenario_file, tmp_path, capsys, field, value):
         doc = json.loads(scenario_file.read_text())

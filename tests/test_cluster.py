@@ -20,10 +20,10 @@ from evintel.cluster import (
     partition_search,
 )
 from evintel.cluster import _descend, _random_start  # noqa: PLC2701 - descent properties
-from evintel.ds import Frame, TotalConflictError, ValidationError, make_mass, vacuous
+from evintel.ds import PRUNE_EPS, Frame, TotalConflictError, ValidationError, make_mass, vacuous
 from evintel.oracle import (
+    check_partition_descent,
     descents_agree,
-    descents_part_only_at_near_ties,
     enumerate_partitions,
     enumerate_search,
     mixed_corpus,
@@ -431,7 +431,13 @@ class TestIncrementalDescent:
             )
             prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.4)
             start = _random_start(corpus, prior, random.Random(t))
-            assert descents_agree(corpus, prior, start, (1, 2, 200)[t % 3])
+            assert descents_agree(corpus, prior, start, (1, 2, 200)[t % 3], IMPROVEMENT_TOL / 10)
+
+    def test_oracle_check_entry_at_600_trials(self):
+        # the entry `oracle-check --trials 600 --seed 91` runs: two of its
+        # mixed corpora part from the reference at a one-ulp tie
+        result = check_partition_descent(100, 600)
+        assert result.ok, result
 
     def test_matches_reference_on_separable_corpora(self):
         rng = random.Random(89)
@@ -439,7 +445,7 @@ class TestIncrementalDescent:
             corpus, _ = separable_corpus(rng, n_reports=rng.randint(4, 16), n_groups=rng.randint(2, 4))
             prior = DomainPrior.uniform(5)
             start = _random_start(corpus, prior, random.Random(t))
-            assert descents_agree(corpus, prior, start, 200 if t % 4 else 1)
+            assert descents_agree(corpus, prior, start, 200 if t % 4 else 1, IMPROVEMENT_TOL / 10)
 
     def test_matches_reference_on_saturated_corpora(self):
         # every report categorical: a block is either conflict-free or saturated
@@ -449,7 +455,7 @@ class TestIncrementalDescent:
             corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=1.0)
             prior = random_prior(rng, rng.randint(1, n + 1))
             start = _random_start(corpus, prior, random.Random(t))
-            assert descents_agree(corpus, prior, start, 200 if t % 4 else 2)
+            assert descents_agree(corpus, prior, start, 200 if t % 4 else 2, IMPROVEMENT_TOL / 10)
 
     @pytest.mark.parametrize("rung", [(3, 4), (4, 6), (5, 6), (6, 8), (10, 10)])
     def test_matches_reference_on_gen_ladder(self, rung):
@@ -460,7 +466,7 @@ class TestIncrementalDescent:
         corpus, prior = parse_document(doc)
         for i in range(4):
             start = _random_start(corpus, prior, random.Random(f"0:{i}"))
-            assert descents_agree(corpus, prior, start, 200)
+            assert descents_agree(corpus, prior, start, 200, IMPROVEMENT_TOL / 10)
 
     def test_later_report_visited_first_loses_an_exact_tie(self):
         # e1..e4 = cA, pA, pA, cB (c: categorical, p: 0.5 with the rest on the
@@ -478,7 +484,7 @@ class TestIncrementalDescent:
             assert metaconflict(make_partition(corpus, blocks), prior).mcf == 0.75
         assert _descend(corpus, prior, [list(b) for b in start], 1, {}) == ([["e1", "e2"], ["e3", "e4"]], 0.75)
         for sweeps in (1, 200):
-            assert descents_agree(corpus, prior, start, sweeps)
+            assert descents_agree(corpus, prior, start, sweeps, IMPROVEMENT_TOL / 10)
 
     def test_existing_block_wins_an_exact_tie_with_the_fresh_block(self):
         # e1 (B) leaves {e1, e2 (A)}, conflict 0.25, for {e3 (B)} or a block of
@@ -492,7 +498,7 @@ class TestIncrementalDescent:
         assert metaconflict(make_partition(corpus, [["e2"], ["e1", "e3"]]), prior).mcf == fresh
         assert _descend(corpus, prior, [list(b) for b in start], 1, {}) == ([["e2"], ["e1", "e3"]], fresh)
         for sweeps in (1, 200):
-            assert descents_agree(corpus, prior, start, sweeps)
+            assert descents_agree(corpus, prior, start, sweeps, IMPROVEMENT_TOL / 10)
 
     @pytest.mark.parametrize(
         "start",
@@ -511,7 +517,7 @@ class TestIncrementalDescent:
         mcf = metaconflict(make_partition(corpus, moved), prior).mcf
         assert _descend(corpus, prior, [list(b) for b in start], 1, {}) == (moved, mcf)
         for sweeps in (1, 200):
-            assert descents_agree(corpus, prior, start, sweeps)
+            assert descents_agree(corpus, prior, start, sweeps, IMPROVEMENT_TOL / 10)
 
     def test_search_results_are_pinned(self):
         # partition_search's blocks, mcf and conflicts, bit for bit, on mixed,
@@ -685,7 +691,7 @@ class TestIncrementalDescent:
             corpus = spread_corpus(rng, rng.randint(2, 10), orders)
             prior = random_prior(rng, rng.randint(1, len(corpus.reports) + 1), zero_share=0.3)
             start = _random_start(corpus, prior, random.Random(t))
-            assert descents_part_only_at_near_ties(corpus, prior, start, 200)
+            assert descents_agree(corpus, prior, start, 200, 8 * PRUNE_EPS)
 
     def test_search_caches_only_canonical_conflicts(self):
         # the store partition_search's restarts share, built as it builds it

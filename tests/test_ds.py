@@ -1,10 +1,7 @@
 import math
-import random
 
 import pytest
-from hypothesis import given, settings
 
-from conftest import masses
 from evintel.ds import (
     PRUNE_EPS,
     Frame,
@@ -18,9 +15,8 @@ from evintel.ds import (
 )
 from evintel.ds import _dempster_conflict, _dempster_step  # noqa: PLC2701 - kernel vs reference
 from evintel.oracle import (
+    check_dempster_step,
     kernel_agrees,
-    random_mass,
-    random_spread_mass,
     reference_combine,
 )
 
@@ -142,20 +138,8 @@ class TestDempsterKernel:
 
     def test_random_folds(self):
         # a running combination against the next mass, as a fold does it
-        rng = random.Random(29)
-        raised = 0
-        for _ in range(1500):
-            frame = Frame(tuple("ABCDE"[: rng.randint(1, 5)]))
-            acc = random_spread_mass(frame, rng)
-            for _ in range(rng.randint(1, 6)):
-                m = random_spread_mass(frame, rng) if rng.random() < 0.5 else random_mass(frame, rng)
-                assert kernel_agrees(acc, m)
-                try:
-                    acc, _ = reference_combine(acc, m)
-                except TotalConflictError:
-                    raised += 1
-                    break
-        assert raised > 0
+        result = check_dempster_step(29, 1500)
+        assert result.ok, result
 
     def test_no_conflict_terms(self):
         m1 = m_of(ABC, (("A",), 0.6), (("A", "B"), 0.4))
@@ -222,34 +206,3 @@ class TestDempsterKernel:
         assert list(combined.masses) == [ABC.bits_of("B")]
         assert _dempster_conflict(m1.masses, tuple(m2.masses.items())) == conflict
         assert kernel_agrees(m1, m2)
-
-
-@given(masses(), masses())
-@settings(max_examples=100, deadline=None)
-def test_commutativity(m1, m2):
-    a, ca = combine_dempster(m1, m2)
-    b, cb = combine_dempster(m2, m1)
-    assert ca == pytest.approx(cb, abs=1e-9)
-    assert set(a.masses) == set(b.masses)
-    for bits, v in a.masses.items():
-        assert b.masses[bits] == pytest.approx(v, abs=1e-9)
-
-
-@given(masses(), masses(), masses())
-@settings(max_examples=60, deadline=None)
-def test_associativity(m1, m2, m3):
-    left, _ = combine_dempster(combine_dempster(m1, m2)[0], m3)
-    right, _ = combine_dempster(m1, combine_dempster(m2, m3)[0])
-    assert set(left.masses) == set(right.masses)
-    for bits, v in left.masses.items():
-        assert right.masses[bits] == pytest.approx(v, abs=1e-9)
-
-
-@given(masses(), masses())
-@settings(max_examples=100, deadline=None)
-def test_combination_preserves_mass_invariants(m1, m2):
-    m, conflict = combine_dempster(m1, m2)
-    assert 0.0 <= conflict < 1.0
-    assert math.fsum(m.masses.values()) == pytest.approx(1.0, abs=1e-9)
-    assert all(v > 0 for v in m.masses.values())
-    assert 0 not in m.masses
