@@ -402,10 +402,20 @@ def _descend(
     which rounding cannot raise; and the float product and subtractions are
     monotone in each factor. So a report whose bound does not improve on mcf
     by more than ``IMPROVEMENT_TOL`` has no acceptable move into an existing
-    block, and is dropped. Phase 2 scores the moves into existing blocks of
-    the reports left, in order of (bound, report), and stops at the first
-    report whose bound is above the best candidate so far: none of its moves,
-    nor any later report's, can be taken.
+    block, and is dropped. The same argument skips folds: before phase 1
+    folds j out of an origin that keeps members, it scores the bound and the
+    fresh block with the origin's factor at 1.0, the largest a removal can
+    leave (a conflict is never below 0), so neither true score is lower; if
+    neither improves on mcf by more than ``IMPROVEMENT_TOL``, j is dropped
+    unfolded. That product depends on the origin alone, so a sweep forms it
+    once per block; for a move that empties its origin it is the product
+    itself. The test catches the rounding plateau, where no block is
+    saturated but survival factors near 1e-12 multiply until mcf rounds to
+    1.0 whatever j's origin gives: on the gen-seed-3 6x8 rung a search then
+    folds 26 conflict-only steps instead of 719. Phase 2 scores the moves into
+    existing blocks of the reports left, in order of (bound, report), and
+    stops at the first report whose bound is above the best candidate so far:
+    none of its moves, nor any later report's, can be taken.
     """
     n = len(corpus.reports)
     states = [BlockState(corpus, sorted(map(corpus.index_of, b)), store) for b in blocks]
@@ -422,15 +432,24 @@ def _descend(
         best_cand = math.inf
         best_move: tuple[int, int] | None = None  # (report index, target block; n_blocks for a fresh one)
         bounds = []  # (bound, report index, survivals with only its origin changed, weight of their block count)
+        lifted = []  # by origin block, the product with its factor at 1.0, the largest a removal can leave
+        for b in range(n_blocks):
+            held, survivals[b] = survivals[b], 1.0
+            lifted.append(math.prod(survivals))
+            survivals[b] = held
         for j in range(n):
             origin = where[j]
             keeps = len(states[origin].members) > 1
             if not keeps and n_blocks == 1:
                 continue  # a lone report in a lone block has no move
+            weight = weights[n_blocks if keeps else n_blocks - 1]
+            product = lifted[origin]
+            if keeps and mcf - (1.0 - max(weight, weights[n_blocks + 1]) * product) <= IMPROVEMENT_TOL:
+                continue  # the larger weight gives the lower of bound and fresh block: no move, so no fold
             base = survivals.copy()
             base[origin] = 1.0 - states[origin].moved(j) if keeps else 1.0
-            weight = weights[n_blocks if keeps else n_blocks - 1]
-            product = math.prod(base)
+            if keeps:
+                product = math.prod(base)
             bound = 1.0 - weight * product
             if mcf - bound > IMPROVEMENT_TOL:
                 bounds.append((bound, j, base, weight))
@@ -498,15 +517,15 @@ def partition_search(
     ``BlockValues`` (see ``BlockState``), which lives for this call only: the
     canonical conflict and one-step move values of each set of members met.
     A value depends on the block and the report alone, so no restart's result
-    depends on the others. Restarts meet the same blocks often enough that
-    sharing saves 36-37% of the fold steps on the track-desk and
-    exhaustive-check benchmark corpora, and 12% on search-ladder. Each
-    restart's mcf is the canonical one of its final blocks, so the merge
-    compares ``cluster_conflict`` values, and the report is built from the
-    winner's stored conflicts in partition order, as ``metaconflict`` would
-    give it. A descent depends only on its start, so a start that repeats an
-    earlier one is not run again: every draw of one block gives the same
-    start. ``config`` has checked its values when it was built.
+    depends on the others. Against a store per restart, sharing saves 19-21%
+    of the fold steps on the exhaustive-check benchmark corpora, 10% on
+    track-desk and 6% on search-ladder. Each restart's mcf is the canonical
+    one of its final blocks, so the merge compares ``cluster_conflict``
+    values, and the report is built from the winner's stored conflicts in
+    partition order, as ``metaconflict`` would give it. A descent depends
+    only on its start, so a start that repeats an earlier one is not run
+    again: every draw of one block gives the same start. ``config`` has
+    checked its values when it was built.
     """
     store: dict[frozenset[int], BlockValues] = {}
     starts = (_random_start(corpus, prior, random.Random(f"{config.seed}:{i}")) for i in range(config.restarts))

@@ -52,8 +52,12 @@ class TrackGraph:
         for i, pi in enumerate(self.p, start=1):
             if not 0.0 <= pi < 1.0:
                 raise ValidationError(f"vertex mass p_{i} = {pi} outside [0, 1)")
-        expected = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-        if set(self.q) != expected:
+        # dict keys are distinct, so n(n-1)/2 of them, each a pair i < j in range, are every pair
+        ranks = range(1, n + 1)
+        if len(self.q) != n * (n - 1) // 2 or not all(
+            isinstance(key, tuple) and len(key) == 2 and key[0] in ranks and key[1] in ranks and key[0] < key[1]
+            for key in self.q
+        ):
             raise ValidationError("edge masses must cover exactly every pair i < j")
         for (i, j), qij in self.q.items():
             if not 0.0 <= qij < 1.0:

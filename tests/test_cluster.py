@@ -519,6 +519,35 @@ class TestIncrementalDescent:
         for sweeps in (1, 200):
             assert descents_agree(corpus, prior, start, sweeps, IMPROVEMENT_TOL / 10)
 
+    def test_fresh_block_is_scored_at_one_block_more_before_any_fold(self):
+        # a conflict-free origin: even with its factor at 1.0 no move into an
+        # existing block can improve on mcf = 0.8, but a fresh block, at the
+        # prior's 0.8 for two blocks, gives 0.2; skipping e1's fold on the
+        # bound alone, or scoring the fresh block at one block, would miss it
+        ca = make_mass(AB, [(("A",), 1.0)])
+        corpus = corpus_of(AB, ("e1", ca), ("e2", ca))
+        prior = DomainPrior({1: 0.2, 2: 0.8})
+        start = [["e1", "e2"]]
+        split = metaconflict(make_partition(corpus, [["e1"], ["e2"]]), prior).mcf
+        assert split < 0.8 - IMPROVEMENT_TOL
+        assert _descend(corpus, prior, [list(b) for b in start], 200, {}) == ([["e2"], ["e1"]], split)
+        for sweeps in (1, 200):
+            assert descents_agree(corpus, prior, start, sweeps, IMPROVEMENT_TOL / 10)
+
+    def test_rounding_plateau_is_left_without_a_fold(self):
+        # gen-seed-3 6x8, restart 0's start: five blocks, none saturated, whose
+        # survival factors (1e-9 to 4e-3) multiply until mcf rounds to 1.0 with
+        # any one of them at 1.0, so no report can move and none is folded out
+        doc = generate_scenario_doc(ScenarioConfig(seed=3, targets=6, reports_per_target=8, frame_size=6))
+        corpus, prior = parse_document(doc)
+        start = _random_start(corpus, prior, random.Random("0:0"))
+        assert len(start) >= 3 and all(cluster_conflict(corpus, b) < 1.0 for b in start)
+        store: dict = {}
+        blocks, mcf = _descend(corpus, prior, start, 200, store)
+        assert (blocks, mcf) == ([sorted(b, key=corpus.index_of) for b in start], 1.0)
+        assert all(not v[1] for v in store.values())
+        assert descents_agree(corpus, prior, start, 200, IMPROVEMENT_TOL / 10)
+
     def test_search_results_are_pinned(self):
         # partition_search's blocks, mcf and conflicts, bit for bit, on mixed,
         # all-categorical, vacuous-heavy, separable and spread-mass corpora,

@@ -29,6 +29,21 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="every pair"):
             TrackGraph((0.1, 0.2, 0.3), {(1, 2): 0.0, (2, 3): 0.0})
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            {(1, 2): 0.0, (1, 3): 0.0, (2, 1): 0.0},  # reversed
+            {(0, 1): 0.0, (1, 3): 0.0, (2, 3): 0.0},  # below the ranks
+            {(1, 2): 0.0, (1, 4): 0.0, (2, 3): 0.0},  # above them
+            {(1, 2): 0.0, (1, 3): 0.0, (1, 2, 3): 0.0},  # not a pair
+            {(1, 2): 0.0, (1, 3): 0.0, 23: 0.0},  # not a tuple
+            {(1, 2): 0.0, (1, 3): 0.0, (2, 3): 0.0, (3, 4): 0.0},  # one pair too many
+        ],
+    )
+    def test_edge_keys_must_be_every_pair_once(self, edges):
+        with pytest.raises(ValidationError, match=r"^edge masses must cover exactly every pair i < j$"):
+            TrackGraph((0.1, 0.2, 0.3), edges)
+
     def test_vertex_mass_range(self):
         with pytest.raises(ValidationError):
             TrackGraph((1.0,), {})
