@@ -5,7 +5,10 @@ repeats an earlier one runs none), full fold steps, conflict-only fold steps,
 calls of ``BlockState.moved`` (one-step conflicts of a block +/- a report,
 each answered from the store or by at most one fold step) and k-term products
 (calls of ``math.prod`` in ``cluster``, each over the survival factors of a
-partition's k blocks). A descent's sweep first forms one product per block,
+partition's k blocks), and the corpora where some restart returns
+``exhaustive_search``'s (mcf, canonical key), with the mean position of the
+first distinct start that does: where restarts could stop early without
+changing the result. A descent's sweep first forms one product per block,
 with that block's factor at 1.0, which scores the test of every report in it;
 a report kept past that test whose block keeps members takes a second
 product, with the factor its removal leaves. Then count the fold steps and
@@ -50,8 +53,10 @@ SET_STRIDE = 100_003  # seed step between sets, as in the benchmark
 
 @contextlib.contextmanager
 def counting():
-    """Count kernel calls in ``cluster`` while the block runs."""
+    """Count kernel calls in ``cluster`` while the block runs, and list each
+    descent's (mcf, canonical key) in call order."""
     counts = collections.Counter()
+    results = []
     fold_step, descend, moved = cluster._fold_step, cluster._descend, cluster.BlockState.moved
 
     def counted_fold_step(state, items, last=False):
@@ -62,9 +67,11 @@ def counting():
         counts["products"] += 1
         return math.prod(factors)
 
-    def counted_descend(*args):
+    def counted_descend(corpus, *args):
         counts["descents"] += 1
-        return descend(*args)
+        blocks, mcf = descend(corpus, *args)
+        results.append((mcf, cluster._canonical_key(corpus, blocks)))
+        return blocks, mcf
 
     def counted_moved(state, j):
         counts["moved"] += 1
@@ -76,20 +83,37 @@ def counting():
     cluster._fold_step, cluster._descend, cluster.math = counted_fold_step, counted_descend, counted_math
     cluster.BlockState.moved = counted_moved
     try:
-        yield counts
+        yield counts, results
     finally:
         cluster._fold_step, cluster._descend, cluster.math = saved
         cluster.BlockState.moved = moved
 
 
-def count(search, corpora) -> list[float]:
+def count(search, corpora) -> tuple[list[float], list[list[tuple]]]:
     """Mean descents, full fold steps, conflict-only fold steps, ``moved`` calls
     and ``math.prod`` calls per call of ``search`` on each (corpus or partition,
-    prior) pair."""
-    with counting() as counts:
+    prior) pair, and per call the (mcf, canonical key) of each descent it ran."""
+    per_call = []
+    with counting() as (counts, results):
         for corpus, prior in corpora:
             search(corpus, prior)
-    return [counts[key] / len(corpora) for key in ("descents", "full", "conflict-only", "moved", "products")]
+            per_call.append(results[:])
+            results.clear()
+    return [counts[key] / len(corpora) for key in ("descents", "full", "conflict-only", "moved", "products")], per_call
+
+
+def exact_start(corpora, runs) -> str:
+    """The "exact start" cell, "k/n at p": k of the n corpora have a descent
+    that returns ``exhaustive_search``'s (mcf, canonical key), the first such
+    one at mean position p among the distinct starts."""
+    firsts = []
+    for (corpus, prior), results in zip(corpora, runs):
+        partition, report = exhaustive_search(corpus, prior)
+        exact = (report.mcf, cluster._canonical_key(corpus, partition.blocks))
+        if exact in results:
+            firsts.append(results.index(exact) + 1)
+    found = f"{len(firsts)}/{len(corpora)}"
+    return f"{found} at {sum(firsts) / len(firsts):.1f}" if firsts else found
 
 
 def scenario(seed: int, targets: int, per_target: int, **kw):
@@ -127,20 +151,21 @@ def main() -> None:
     rows = [(f"gen --seed {args.seed} {t}x{p}", [scenario(args.seed, t, p)]) for t, p in LADDER]
     rows.append(("exhaustive-check, 10 corpora", exhaustive_check_corpora(args.seed)))
     rows.append(("track-desk, 12 corpora", track_desk_corpora(args.seed)))
-    print(f"{'':<30} {'partition_search':^66}   {'exhaustive_search':^36}   {'specify_corpus':^26}".rstrip())
+    print(f"{'':<30} {'partition_search':^81}   {'exhaustive_search':^36}   {'specify_corpus':^26}".rstrip())
     print(
         f"{'corpora':<30} {'descents':>9} {'full folds':>11} {'conflict-only':>14} {'moved calls':>12}"
-        f" {'k-term products':>16}"
+        f" {'k-term products':>16} {'exact start':>14}"
         f"   {'full folds':>11} {'conflict-only':>14} {'nodes':>9}"
         f"   {'full folds':>11} {'conflict-only':>14}   (per call)"
     )
     for label, corpora in rows:
-        descents, full, last, moved, products = count(partition_search, corpora)
-        _, exact_full, exact_last, _, calls = count(exhaustive_search, corpora)
+        (descents, full, last, moved, products), runs = count(partition_search, corpora)
+        (_, exact_full, exact_last, _, calls), _ = count(exhaustive_search, corpora)
         partitions = [(partition_search(corpus, prior)[0], prior) for corpus, prior in corpora]
-        _, specify_full, specify_last, _, _ = count(specify_corpus, partitions)
+        (_, specify_full, specify_last, _, _), _ = count(specify_corpus, partitions)
         print(
             f"{label:<30} {descents:>9.1f} {full:>11.1f} {last:>14.1f} {moved:>12.1f} {products:>16.1f}"
+            f" {exact_start(corpora, runs):>14}"
             f"   {exact_full:>11.1f} {exact_last:>14.1f} {calls - 1:>9.1f}"
             f"   {specify_full:>11.1f} {specify_last:>14.1f}"
         )

@@ -31,11 +31,11 @@ def main() -> None:
     single = metaconflict(make_partition(corpus, [corpus.ids]), prior)
     print(f"for contrast, one big block scores mcf = {single.mcf:.6f}")
 
-    spec = specify_corpus(partition, prior)
+    _, weights = specify_corpus(partition, prior)
     print("\nmembership weights (rows sum to 1):")
     for rid in corpus.ids:
-        weights = " ".join(f"{spec.weights[rid][k]:.3f}" for k in range(partition.n_blocks))
-        print(f"  {rid}: {weights}")
+        row = " ".join(f"{weights[rid][k]:.3f}" for k in range(partition.n_blocks))
+        print(f"  {rid}: {row}")
 
 
 if __name__ == "__main__":

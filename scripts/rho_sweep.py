@@ -26,12 +26,12 @@ def main() -> None:
         play = sequential_play(makers, rho)
         print(f"{rho:4.2f}   {play['first']:<5}  {play['second']}")
 
-    seg = game_preferences(makers)
+    segments, preferences = game_preferences(makers)
     print("\nwinning intervals:")
-    for s in seg.segments:
-        print(f"  [{s.lo:.4f}, {s.hi:.4f}] -> {' '.join(s.winners)}")
+    for lo, hi, winners in segments:
+        print(f"  [{lo:.4f}, {hi:.4f}] -> {' '.join(winners)}")
     print("preferences over unknown rho:")
-    for cid, pref in sorted(seg.preferences.items()):
+    for cid, pref in sorted(preferences.items()):
         print(f"  {cid}: {pref:.4f}")
 
 

@@ -18,7 +18,6 @@ from .cluster import (
 )
 from .decide import (
     DecisionMaker,
-    RhoSegmentation,
     UtilityIntervalChoice,
     expected_interval,
     game_preferences,
@@ -47,7 +46,6 @@ from .posterior import (
 from .scenario import ScenarioConfig, generate_scenario
 from .specify import (
     NEW_BLOCK,
-    MembershipSpecification,
     specify_corpus,
 )
 from .tracks import (

@@ -13,6 +13,10 @@ rho (proof in ``_solve``), so maker order never changes the outcome, and a
 play computes every choice's value once. ``oracle.reference_play``, backward
 induction over the whole game tree with values recomputed at every node, is
 the check.
+
+``rho_segmentation`` and ``game_preferences`` return ``(segments,
+preferences)``: the segments as ``(lo, hi, winners)`` tuples in rho order,
+and a dict from each choice id to its preference.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .ds import MassFunction, ValidationError
+
+Segment = tuple[float, float, tuple[str, ...]]  # (lo, hi, winners); several winners only for affinely identical choices
+Segmentation = tuple[tuple[Segment, ...], dict[str, float]]  # (segments, preferences)
 
 
 @dataclass(frozen=True)
@@ -36,19 +43,6 @@ class UtilityIntervalChoice:
 
     def value_at(self, rho: float) -> float:
         return self.e_low + rho * (self.e_high - self.e_low)
-
-
-@dataclass(frozen=True)
-class RhoSegment:
-    lo: float
-    hi: float
-    winners: tuple[str, ...]  # more than one only for affinely identical choices
-
-
-@dataclass(frozen=True)
-class RhoSegmentation:
-    segments: tuple[RhoSegment, ...]
-    preferences: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -95,31 +89,29 @@ def _breakpoints(choices: Sequence[UtilityIntervalChoice]) -> list[float]:
     return sorted(points)
 
 
-def _segmentation(choices: Sequence[UtilityIntervalChoice], winners_at: Callable) -> RhoSegmentation:
+def _segmentation(choices: Sequence[UtilityIntervalChoice], winners_at: Callable) -> Segmentation:
     """Segments between the choices' breakpoints, decided at their midpoints by
     ``winners_at(rho)``: strictly distinct lines can only tie at breakpoints, so
     the winner set is constant inside a segment and the boundary point belongs
     to the right-hand segment. Neighbours with equal winners merge, and
     winners (affinely identical choices) split a segment's length equally."""
     points = _breakpoints(choices)
-    segments: list[RhoSegment] = []
+    segments: list[Segment] = []
     for lo, hi in zip(points, points[1:]):
-        if hi - lo <= 0.0:
-            continue
         winners = winners_at((lo + hi) / 2.0)
-        if segments and segments[-1].winners == winners:
-            segments[-1] = RhoSegment(segments[-1].lo, hi, winners)
+        if segments and segments[-1][2] == winners:
+            segments[-1] = (segments[-1][0], hi, winners)
         else:
-            segments.append(RhoSegment(lo, hi, winners))
+            segments.append((lo, hi, winners))
     preferences = {c.id: 0.0 for c in choices}
-    for seg in segments:
-        share = (seg.hi - seg.lo) / len(seg.winners)
-        for w in seg.winners:
+    for lo, hi, winners in segments:
+        share = (hi - lo) / len(winners)
+        for w in winners:
             preferences[w] += share
-    return RhoSegmentation(tuple(segments), preferences)
+    return tuple(segments), preferences
 
 
-def rho_segmentation(choices: Sequence[UtilityIntervalChoice]) -> RhoSegmentation:
+def rho_segmentation(choices: Sequence[UtilityIntervalChoice]) -> Segmentation:
     """Upper envelope of the choices' point values over rho in [0, 1]: the game
     with one maker per choice, whose table-maximal choices win each segment."""
     if not choices:
@@ -175,7 +167,7 @@ def sequential_play(makers: Sequence[DecisionMaker], rho: float) -> dict[str, st
     return {m.id: c.id for m, (c, _) in zip(makers, outcome)}
 
 
-def game_preferences(makers: Sequence[DecisionMaker]) -> RhoSegmentation:
+def game_preferences(makers: Sequence[DecisionMaker]) -> Segmentation:
     """Competitive preference of every alternative over unknown rho.
 
     The solved game's outcome is piecewise constant between crossings of the

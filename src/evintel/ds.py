@@ -55,9 +55,6 @@ class Frame:
             raise ValidationError("frame elements must be unique")
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.elements)})
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     @property
     def full_bits(self) -> int:
         return (1 << len(self.elements)) - 1

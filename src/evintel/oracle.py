@@ -40,7 +40,7 @@ from .cluster import (
 )
 from .decide import (
     DecisionMaker,
-    RhoSegmentation,
+    Segmentation,
     UtilityIntervalChoice,
     _breakpoints,
     _segmentation,
@@ -481,7 +481,7 @@ def reference_play(makers: Sequence[DecisionMaker], t: int, chosen: list[Utility
     return best_outcome
 
 
-def reference_game_preferences(makers: Sequence[DecisionMaker]) -> RhoSegmentation:
+def reference_game_preferences(makers: Sequence[DecisionMaker]) -> Segmentation:
     """``game_preferences`` with every segment midpoint played by ``reference_play``."""
     all_choices = [c for m in makers for c in m.choices]
 
@@ -775,7 +775,7 @@ def check_rho_preferences(seed: int, trials: int) -> CheckResult:
         for i in range(rng.randint(1, 5)):
             a, b = sorted((rng.random(), rng.random()))
             choices.append(UtilityIntervalChoice(f"c{i}", a, b))
-        seg = rho_segmentation(choices)
+        _, preferences = rho_segmentation(choices)
         counts = {c.id: 0.0 for c in choices}
         for k in range(grid):
             rho = (k + 0.5) / grid
@@ -784,7 +784,7 @@ def check_rho_preferences(seed: int, trials: int) -> CheckResult:
             winners = [c.id for c, v in zip(choices, values) if v == best]
             for w in winners:
                 counts[w] += 1.0 / (grid * len(winners))
-        devs.append(_worst(abs(pref - counts[cid]) for cid, pref in seg.preferences.items()))
+        devs.append(_worst(abs(pref - counts[cid]) for cid, pref in preferences.items()))
     return _result("rho preferences vs grid scan", devs, 2e-4)
 
 
@@ -927,7 +927,7 @@ def check_specify(seed: int, trials: int) -> CheckResult:
         n = len(corpus.reports)
         prior = random_prior(rng, rng.randint(1, n + 1), zero_share=0.3)
         partition = make_partition(corpus, _random_start(corpus, prior, rng))
-        plausibility = specify_corpus(partition, prior).plausibility
+        plausibility, _ = specify_corpus(partition, prior)
         failures = 0
         for rid, values in reference_memberships(partition, prior).items():
             for key, (expected, d) in values.items():

@@ -232,11 +232,11 @@ def analyze_decision(makers: list[decide.DecisionMaker], rho: float | None = Non
     """The ``decision`` object of the result document, shared by ``pipeline`` and ``decide``."""
     # played first, so that a rho outside [0, 1] is refused before the sweep over rho
     assignment = decide.sequential_play(makers, rho) if rho is not None else None
-    segmentation = decide.game_preferences(makers)
+    segments, preferences = decide.game_preferences(makers)
     doc: dict = {
         "intervals": {m.id: {c.id: [c.e_low, c.e_high] for c in m.choices} for m in makers},
-        "segmentation": [{"lo": s.lo, "hi": s.hi, "winners": list(s.winners)} for s in segmentation.segments],
-        "preferences": dict(segmentation.preferences),
+        "segmentation": [{"lo": lo, "hi": hi, "winners": list(winners)} for lo, hi, winners in segments],
+        "preferences": preferences,
     }
     if assignment is not None:
         doc["assignment"] = assignment
@@ -260,13 +260,13 @@ def _stage(name: str, fn, *args):
 
 
 def _membership(partition: Partition, prior: DomainPrior) -> dict:
-    spec = specify.specify_corpus(partition, prior)
+    plausibility, weights = specify.specify_corpus(partition, prior)
     return {
         rid: {
             "plausibility": {str(k): v for k, v in pl.items()},
-            "weights": {str(k): v for k, v in spec.weights[rid].items()},
+            "weights": {str(k): v for k, v in weights[rid].items()},
         }
-        for rid, pl in spec.plausibility.items()
+        for rid, pl in plausibility.items()
     }
 
 

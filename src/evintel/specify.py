@@ -21,14 +21,14 @@ over 1 - c; near total conflict that is the conditioning the ratio has
 against exact arithmetic anyway. ``oracle-check`` holds every value within
 ``16 * PRUNE_EPS / (1 - c)`` of the one built from reference conflicts.
 
-The pipeline reports these plausibilities and weights; no later stage reads
-them (the track stage gives each block member vertex mass 1 - m(frame),
-whatever its membership).
+``specify_corpus`` returns ``(plausibility, weights)``: per report id, the
+membership plausibility per block index plus ``NEW_BLOCK``, and the weights
+normalized over the partition's actual blocks. The pipeline reports both; no
+later stage reads them (the track stage gives each block member vertex mass
+1 - m(frame), whatever its membership).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .cluster import BlockState, DomainPrior, Partition, domain_conflict
 from .ds import left_sum
@@ -36,15 +36,6 @@ from .ds import left_sum
 NEW_BLOCK = "new"
 
 BlockKey = int | str  # block index within the partition, or NEW_BLOCK
-
-
-@dataclass(frozen=True)
-class MembershipSpecification:
-    """Per report: membership plausibility per block (plus the fresh-block entry)
-    and normalized weights over the partition's actual blocks."""
-
-    plausibility: dict[str, dict[BlockKey, float]]
-    weights: dict[str, dict[int, float]]
 
 
 def _ratio(delta: float, denom: float) -> float:
@@ -96,8 +87,9 @@ def _plausibility(
     return pl
 
 
-def specify_corpus(partition: Partition, prior: DomainPrior) -> MembershipSpecification:
-    """Membership plausibilities and per-report weights for every report and block.
+def specify_corpus(partition: Partition, prior: DomainPrior) -> tuple[dict, dict]:
+    """Membership plausibilities and per-report weights for every report and
+    block, as ``(plausibility, weights)`` (see the module docstring).
 
     Each block's state is built once, and every +/- j conflict is its
     ``BlockState.moved(j)``, one fold step from the block's prefix and
@@ -117,4 +109,4 @@ def specify_corpus(partition: Partition, prior: DomainPrior) -> MembershipSpecif
             weights[report.id] = {k: pl[k] / block_total for k in range(partition.n_blocks)}
         else:
             weights[report.id] = {k: 1.0 / partition.n_blocks for k in range(partition.n_blocks)}
-    return MembershipSpecification(plausibility, weights)
+    return plausibility, weights

@@ -127,10 +127,10 @@ def test_c4_specifier_coherence():
     prior = DomainPrior.uniform(4)
     for corpus, groups in separable_instances():
         part = make_partition(corpus, groups)
-        spec = specify_corpus(part, prior)
+        plausibility, _ = specify_corpus(part, prior)
         for rid in corpus.ids:
             own = part.block_of(rid)
-            plaus = spec.plausibility[rid]
+            plaus = plausibility[rid]
             assert all(plaus[own] >= plaus[k] for k in range(part.n_blocks))
             assert max(range(part.n_blocks), key=lambda k: plaus[k]) == own
         for rid in corpus.ids:
@@ -208,10 +208,10 @@ def test_c8_decision_module():
     preferences = check_rho_preferences(88, 20)
     assert preferences.ok, preferences
 
-    seg = rho_segmentation([UtilityIntervalChoice("A", 0.2, 0.9), UtilityIntervalChoice("B", 0.4, 0.6)])
-    assert seg.segments[0].hi == pytest.approx(0.4, abs=1e-12)
-    assert seg.preferences["A"] == pytest.approx(0.6, abs=1e-12)
-    assert seg.preferences["B"] == pytest.approx(0.4, abs=1e-12)
+    segments, shares = rho_segmentation([UtilityIntervalChoice("A", 0.2, 0.9), UtilityIntervalChoice("B", 0.4, 0.6)])
+    assert segments[0][1] == pytest.approx(0.4, abs=1e-12)
+    assert shares["A"] == pytest.approx(0.6, abs=1e-12)
+    assert shares["B"] == pytest.approx(0.4, abs=1e-12)
 
     for _ in range(40):
         makers = random_game(rng, max_makers=2, max_choices=3, tie_share=0.0)

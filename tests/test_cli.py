@@ -62,15 +62,22 @@ def write_json(path, doc):
     return path
 
 
+DROP = object()  # as an ``edited`` value: remove the node instead
+
+
 def edited(doc, path, value):
-    """A deep copy of ``doc`` with the node at ``path`` (keys and list indices) replaced."""
+    """A deep copy of ``doc`` with the node at ``path`` (keys and list indices)
+    replaced by ``value``, or removed if ``value`` is ``DROP``."""
     doc = copy.deepcopy(doc)
     if not path:
         return value
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return doc
 
 
@@ -336,6 +343,11 @@ class TestExitCodes:
             pytest.param(("prior", "+3"), 0.0, "'prior': count '+3' must be written in plain decimal digits", id="prior-key-sign"),
             pytest.param(("prior", "01"), 0.0, "'prior': count '01' must be written in plain decimal digits", id="prior-key-leading-zero"),
             pytest.param((), [1, 2], "the document must be a JSON object", id="document-list"),
+            pytest.param(("frame",), DROP, "document needs 'frame', 'prior' and 'reports'", id="frame-missing"),
+            pytest.param(("prior",), DROP, "document needs 'frame', 'prior' and 'reports'", id="prior-missing"),
+            pytest.param(("reports",), DROP, "document needs 'frame', 'prior' and 'reports'", id="reports-missing"),
+            pytest.param(("reports",), [], "corpus must contain at least one report", id="reports-empty"),
+            pytest.param(("prior",), {}, "'prior': prior must not be empty", id="prior-empty"),
             pytest.param(("decision",), [], "'decision' must be an object", id="decision-list"),
             pytest.param(MAKERS, {"id": "dm1"}, "decision 'makers' must be a list", id="makers-object"),
             pytest.param(MAKERS + (1,), "dm2", "decision makers[1] must be an object with a unique 'id'", id="maker-string"),
@@ -343,6 +355,7 @@ class TestExitCodes:
             pytest.param(MAKERS + (0, "choices"), [], "maker 'dm1' needs a nonempty list of 'choices'", id="choices-empty"),
             pytest.param(CHOICES + (0,), 7, "maker 'dm2': choices[0] must be an object", id="choice-number"),
             pytest.param(CHOICES + (1, "id"), "X", "maker 'dm2': choices[1] must be an object with an 'id' unique", id="choice-id-twice"),
+            pytest.param(UTILITY[:-1], {}, "decision section needs nonempty 'utilities'", id="utilities-empty"),
             pytest.param(UTILITY, "zero", "utility 'bad' must be a number", id="utility-string"),
             pytest.param(UTILITY, float("inf"), "choice 'X': utility for 'bad' is not finite", id="utility-infinite"),
             pytest.param(
@@ -387,6 +400,20 @@ class TestExitCodes:
             assert main([command, "./x.json"]) == 2, command
             err = capsys.readouterr().err
             assert err.startswith("error: x.json: "), (command, err)
+
+    @pytest.mark.parametrize("command", ["cluster", "gen"])
+    def test_rmax_below_one_exit_2(self, scenario_file, capsys, command):
+        argv = [command] if command == "gen" else [command, str(scenario_file)]
+        assert main(argv + ["--rmax", "0"]) == 2
+        assert capsys.readouterr().err == "error: r_max must be >= 1\n"
+
+    def test_failure_outside_the_stages_exit_3(self, scenario_file, capsys, monkeypatch):
+        def broken(result):
+            raise RuntimeError("table failed")
+
+        monkeypatch.setattr(pipeline, "format_result", broken)
+        assert main(["cluster", str(scenario_file)]) == 3
+        assert capsys.readouterr().err == "unexpected error: table failed\n"
 
     def test_threads_below_one_exit_2(self, scenario_file, capsys):
         assert main(["pipeline", str(scenario_file), "--threads", "0"]) == 2

@@ -120,6 +120,15 @@ class TestPartitionValidation:
         assert p.blocks == (("e1",), ("e2",))
         assert p.block_of("e2") == 1
 
+    def test_block_of_unknown_id(self, pair_corpus):
+        with pytest.raises(ValidationError, match="unknown report id 'e3'"):
+            make_partition(pair_corpus, [["e1", "e2"]]).block_of("e3")
+
+    def test_corpus_refuses_a_report_on_another_frame(self):
+        abc = Frame(("A", "B", "C"))
+        with pytest.raises(ValidationError, match="report 'e2' uses a different frame"):
+            corpus_of(AB, ("e1", simple(AB, "A", 0.6)), ("e2", simple(abc, "A", 0.6)))
+
 
 class TestMetaconflict:
     def test_all_zero(self):

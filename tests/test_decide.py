@@ -46,6 +46,10 @@ class TestExpectedInterval:
         c = expected_interval(vacuous(UTIL_FRAME), UTILS)
         assert (c.e_low, c.e_high) == (0.0, 1.0)
 
+    def test_low_above_high_rejected(self):
+        with pytest.raises(ValidationError, match="choice 'A': e_low 0.6 > e_high 0.5"):
+            choice("A", 0.6, 0.5)
+
     def test_missing_utility(self):
         with pytest.raises(ValidationError, match="no utility"):
             expected_interval(vacuous(UTIL_FRAME), {"lo": 0.0, "mid": 0.5})
@@ -53,29 +57,26 @@ class TestExpectedInterval:
 
 class TestRhoSegmentation:
     def test_crossover_example(self):
-        seg = rho_segmentation([choice("A", 0.2, 0.9), choice("B", 0.4, 0.6)])
-        assert len(seg.segments) == 2
-        assert seg.segments[0].winners == ("B",)
-        assert seg.segments[0].hi == pytest.approx(0.4, abs=1e-12)
-        assert seg.segments[1].winners == ("A",)
-        assert seg.preferences["A"] == pytest.approx(0.6, abs=1e-12)
-        assert seg.preferences["B"] == pytest.approx(0.4, abs=1e-12)
+        segments, preferences = rho_segmentation([choice("A", 0.2, 0.9), choice("B", 0.4, 0.6)])
+        assert len(segments) == 2
+        assert segments[0][2] == ("B",)
+        assert segments[0][1] == pytest.approx(0.4, abs=1e-12)
+        assert segments[1][2] == ("A",)
+        assert preferences["A"] == pytest.approx(0.6, abs=1e-12)
+        assert preferences["B"] == pytest.approx(0.4, abs=1e-12)
 
     def test_strict_dominance(self):
-        seg = rho_segmentation([choice("A", 0.5, 0.6), choice("B", 0.1, 0.2)])
-        assert seg.preferences == {"A": 1.0, "B": 0.0}
+        _, preferences = rho_segmentation([choice("A", 0.5, 0.6), choice("B", 0.1, 0.2)])
+        assert preferences == {"A": 1.0, "B": 0.0}
 
     def test_identical_choices_split(self):
-        seg = rho_segmentation([choice("A", 0.3, 0.8), choice("B", 0.3, 0.8)])
-        assert seg.preferences["A"] == pytest.approx(0.5)
-        assert seg.preferences["B"] == pytest.approx(0.5)
-        assert seg.segments[0].winners == ("A", "B")
+        segments, preferences = rho_segmentation([choice("A", 0.3, 0.8), choice("B", 0.3, 0.8)])
+        assert preferences["A"] == pytest.approx(0.5)
+        assert preferences["B"] == pytest.approx(0.5)
+        assert segments[0][2] == ("A", "B")
 
     def test_single_choice(self):
-        seg = rho_segmentation([choice("only", 0.2, 0.4)])
-        assert seg.preferences == {"only": 1.0}
-        assert seg.segments[0].lo == 0.0
-        assert seg.segments[0].hi == 1.0
+        assert rho_segmentation([choice("only", 0.2, 0.4)]) == (((0.0, 1.0, ("only",)),), {"only": 1.0})
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match="unique"):
@@ -92,13 +93,14 @@ class TestRhoSegmentation:
             for i in range(rng.randint(1, 6)):
                 a, b = sorted((rng.random(), rng.random()))
                 cs.append(choice(f"c{i}", a, b))
-            seg = rho_segmentation(cs)
-            assert sum(seg.preferences.values()) == pytest.approx(1.0, abs=1e-9)
-            assert all(p >= 0.0 for p in seg.preferences.values())
-            assert seg.segments[0].lo == 0.0
-            assert seg.segments[-1].hi == 1.0
-            for s, t in zip(seg.segments, seg.segments[1:]):
-                assert s.hi == t.lo
+            segments, preferences = rho_segmentation(cs)
+            assert sum(preferences.values()) == pytest.approx(1.0, abs=1e-9)
+            assert all(p >= 0.0 for p in preferences.values())
+            assert segments[0][0] == 0.0
+            assert segments[-1][1] == 1.0
+            assert all(lo < hi for lo, hi, _ in segments)
+            for s, t in zip(segments, segments[1:]):
+                assert s[1] == t[0]
 
     def test_shift_invariance_of_winner_map(self):
         rng = random.Random(6)
@@ -108,9 +110,9 @@ class TestRhoSegmentation:
                 a, b = sorted((rng.random(), rng.random()))
                 cs.append(choice(f"c{i}", a, b))
             shifted = [choice(c.id, c.e_low + 0.37, c.e_high + 0.37) for c in cs]
-            a = rho_segmentation(cs)
-            b = rho_segmentation(shifted)
-            assert [s.winners for s in a.segments] == [s.winners for s in b.segments]
+            a, _ = rho_segmentation(cs)
+            b, _ = rho_segmentation(shifted)
+            assert [s[2] for s in a] == [s[2] for s in b]
 
 
 class TestSequentialPlay:
@@ -142,6 +144,14 @@ class TestSequentialPlay:
 
 
 class TestGamePreferences:
+    def test_maker_without_choices_rejected(self):
+        with pytest.raises(ValidationError, match="decision maker 'dm' has no choices"):
+            DecisionMaker("dm", ())
+
+    def test_no_makers_rejected(self):
+        with pytest.raises(ValidationError, match="need at least one decision maker"):
+            game_preferences([])
+
     def test_single_maker_reduces_to_segmentation(self):
         cs = (choice("A", 0.2, 0.9), choice("B", 0.4, 0.6))
         game = game_preferences([DecisionMaker("solo", cs)])
@@ -151,26 +161,26 @@ class TestGamePreferences:
         rng = random.Random(41)
         for _ in range(25):
             makers = oracle.random_game(rng, 3, 3, tie_share=0.0)
-            prefs = game_preferences(makers).preferences
+            _, prefs = game_preferences(makers)
             assert sum(prefs.values()) == pytest.approx(1.0, abs=1e-9)
             assert all(v >= 0.0 for v in prefs.values())
 
     def test_worked_example_lengths(self):
         dm1 = DecisionMaker("DM1", (choice("X", 0.2, 0.9),))
         dm2 = DecisionMaker("DM2", (choice("Y", 0.4, 0.6), choice("Z", 0.0, 1.0)))
-        seg = game_preferences([dm1, dm2])
+        _, preferences = game_preferences([dm1, dm2])
         # X = 0.2 + 0.7r, Y = 0.4 + 0.2r, Z = r. Below the X/Y crossing at 0.4,
         # Y holds the table; X wins until Z overtakes it at 0.2 + 0.7r = r.
-        assert seg.preferences["Y"] == pytest.approx(0.4, abs=1e-9)
-        assert seg.preferences["X"] == pytest.approx(0.2 / 0.3 - 0.4, abs=1e-9)
-        assert seg.preferences["Z"] == pytest.approx(1.0 - 0.2 / 0.3, abs=1e-9)
+        assert preferences["Y"] == pytest.approx(0.4, abs=1e-9)
+        assert preferences["X"] == pytest.approx(0.2 / 0.3 - 0.4, abs=1e-9)
+        assert preferences["Z"] == pytest.approx(1.0 - 0.2 / 0.3, abs=1e-9)
 
     def test_grid_agreement(self):
         rng = random.Random(43)
         grid = 4000
         for _ in range(6):
             makers = oracle.random_game(rng, 3, 3, tie_share=0.0)
-            prefs = game_preferences(makers).preferences
+            _, prefs = game_preferences(makers)
             counts = dict.fromkeys(prefs, 0.0)
             for k in range(grid):
                 rho = (k + 0.5) / grid
@@ -216,16 +226,16 @@ class TestGameSolver:
         # 4^8 histories at each of 188 midpoints: close to a minute by
         # reference_play, which here plays only the merged segments.
         makers = full_game(random.Random(73), 8, 4)
-        seg = game_preferences(makers)
-        assert sum(seg.preferences.values()) == pytest.approx(1.0, abs=1e-9)
-        assert seg.segments[0].lo == 0.0 and seg.segments[-1].hi == 1.0
-        for s, t in zip(seg.segments, seg.segments[1:]):
-            assert s.hi == t.lo and s.winners != t.winners
-        for s in seg.segments:
-            rho = (s.lo + s.hi) / 2.0
+        segments, preferences = game_preferences(makers)
+        assert sum(preferences.values()) == pytest.approx(1.0, abs=1e-9)
+        assert segments[0][0] == 0.0 and segments[-1][1] == 1.0
+        for (_, hi, winners), (lo, _, next_winners) in zip(segments, segments[1:]):
+            assert hi == lo and winners != next_winners
+        for lo, hi, winners in segments:
+            rho = (lo + hi) / 2.0
             outcome = oracle.reference_play(makers, 0, [], rho)
             table_max = max(c.value_at(rho) for c in outcome)
-            assert s.winners == tuple(c.id for c in outcome if c.value_at(rho) == table_max)
+            assert winners == tuple(c.id for c in outcome if c.value_at(rho) == table_max)
 
     def test_random_game_makes_ties(self):
         rng = random.Random(75)
@@ -234,4 +244,4 @@ class TestGameSolver:
         assert any(len(m.choices) == 1 for g in games for m in g)
         assert any(lo == hi for lo, hi in intervals)
         assert len(set(intervals)) < len(intervals)
-        assert any(len(s.winners) > 1 for g in games for s in game_preferences(g).segments)
+        assert any(len(winners) > 1 for g in games for _, _, winners in game_preferences(g)[0])

@@ -41,11 +41,11 @@ def test_membership_values_stay_in_unit_interval():
         corpus = mixed_corpus(rng, rng.randint(2, 7))
         prior = random_prior(rng, 4)
         part = random_partition(rng, corpus, 4)
-        spec = specify_corpus(part, prior)
+        plausibility, weights = specify_corpus(part, prior)
         for rid in corpus.ids:
             for key in list(range(part.n_blocks)) + [NEW_BLOCK]:
-                assert 0.0 <= spec.plausibility[rid][key] <= 1.0
-            assert sum(spec.weights[rid].values()) == pytest.approx(1.0, abs=1e-9)
+                assert 0.0 <= plausibility[rid][key] <= 1.0
+            assert sum(weights[rid].values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_move_monotonicity_on_random_corpora():
@@ -75,7 +75,7 @@ def test_own_block_against_never_exceeds_rejoin_insertion():
     for _ in range(20):
         corpus = mixed_corpus(rng, rng.randint(3, 6))
         part = random_partition(rng, corpus, 3)
-        pl = specify_corpus(part, DomainPrior.uniform(6)).plausibility
+        pl, _ = specify_corpus(part, DomainPrior.uniform(6))
         for rid in corpus.ids:
             own = part.block_of(rid)
             block = part.blocks[own]

@@ -16,7 +16,7 @@ class TestMembershipEvidence:
     def test_removal_worked_example(self):
         corpus = corpus_of(AB, ("e1", simple(AB, "A", 0.6)), ("e2", simple(AB, "B", 0.5)))
         part = make_partition(corpus, [["e1", "e2"]])
-        pl = specify_corpus(part, DomainPrior.uniform(2)).plausibility
+        pl, _ = specify_corpus(part, DomainPrior.uniform(2))
         assert pl["e2"][0] == pytest.approx(0.7, abs=1e-12)
 
     def test_compatible_insertion_is_free(self):
@@ -26,13 +26,13 @@ class TestMembershipEvidence:
             ("e2", simple(AB, "A", 0.5)),
         )
         part = make_partition(corpus, [["e1"], ["e2"]])
-        pl = specify_corpus(part, DomainPrior.uniform(2)).plausibility
+        pl, _ = specify_corpus(part, DomainPrior.uniform(2))
         assert pl["e2"][0] == 1.0
 
     def test_insertion_worked_example(self):
         corpus = corpus_of(AB, ("e1", simple(AB, "A", 0.6)), ("e3", simple(AB, "B", 0.5)))
         part = make_partition(corpus, [["e1"], ["e3"]])
-        pl = specify_corpus(part, DomainPrior.uniform(2)).plausibility
+        pl, _ = specify_corpus(part, DomainPrior.uniform(2))
         assert pl["e3"][0] == pytest.approx(0.7, abs=1e-12)
 
     def test_total_preexisting_conflict_gives_full_against(self):
@@ -43,7 +43,7 @@ class TestMembershipEvidence:
             ("e3", simple(AB, "A", 0.5)),
         )
         part = make_partition(corpus, [["e1", "e2"], ["e3"]])
-        pl = specify_corpus(part, DomainPrior.uniform(2)).plausibility
+        pl, _ = specify_corpus(part, DomainPrior.uniform(2))
         assert pl["e3"][0] == 0.0  # the target block is already in total conflict
         for member in ("e1", "e2"):  # and so is its members' own block
             assert pl[member][0] == 0.0
@@ -52,7 +52,7 @@ class TestMembershipEvidence:
         corpus = corpus_of(AB, ("e1", simple(AB, "A", 0.6)), ("e2", simple(AB, "A", 0.5)))
         part = make_partition(corpus, [["e1", "e2"]])
         prior = DomainPrior({1: 0.8, 2: 0.2})
-        pl = specify_corpus(part, prior).plausibility
+        pl, _ = specify_corpus(part, prior)
         # spawning moves the count 1 -> 2: c0 goes 0.2 -> 0.8, a domain
         # against of (0.8 - 0.2) / 0.8; a singleton adds no cluster conflict
         assert pl["e1"][NEW_BLOCK] == pytest.approx(1.0 - (0.8 - 0.2) / 0.8)
@@ -61,7 +61,7 @@ class TestMembershipEvidence:
         corpus = corpus_of(AB, ("e1", simple(AB, "A", 0.6)), ("e2", simple(AB, "B", 0.5)))
         part = make_partition(corpus, [["e1"], ["e2"]])
         prior = DomainPrior({1: 0.2, 2: 0.8})
-        pl = specify_corpus(part, prior).plausibility
+        pl, _ = specify_corpus(part, prior)
         # moving e1 into e2's block empties its own: count 2 -> 1, c0 0.2 -> 0.8,
         # on top of the cluster against of 0.3
         assert pl["e1"][1] == pytest.approx(0.7 * (1.0 - (0.8 - 0.2) / 0.8))
@@ -78,11 +78,11 @@ class TestSpecifyCorpus:
             ("e3", simple(AB, "B", 0.5)),
         )
         part = make_partition(corpus, [["e1", "e2"], ["e3"]])
-        spec = specify_corpus(part, DomainPrior.uniform(3))
-        assert spec.plausibility["e1"][0] == pytest.approx(1.0)
-        assert spec.plausibility["e1"][1] == pytest.approx(0.7)
-        assert spec.weights["e1"][0] == pytest.approx(1.0 / 1.7, abs=1e-9)
-        assert spec.weights["e1"][1] == pytest.approx(0.7 / 1.7, abs=1e-9)
+        plausibility, weights = specify_corpus(part, DomainPrior.uniform(3))
+        assert plausibility["e1"][0] == pytest.approx(1.0)
+        assert plausibility["e1"][1] == pytest.approx(0.7)
+        assert weights["e1"][0] == pytest.approx(1.0 / 1.7, abs=1e-9)
+        assert weights["e1"][1] == pytest.approx(0.7 / 1.7, abs=1e-9)
 
     def test_symmetric_report_gets_equal_weights(self):
         corpus = corpus_of(
@@ -92,8 +92,8 @@ class TestSpecifyCorpus:
             ("x", vacuous(ABC)),
         )
         part = make_partition(corpus, [["a", "x"], ["b"]])
-        spec = specify_corpus(part, DomainPrior.uniform(3))
-        assert spec.weights["x"][0] == pytest.approx(spec.weights["x"][1])
+        _, weights = specify_corpus(part, DomainPrior.uniform(3))
+        assert weights["x"][0] == pytest.approx(weights["x"][1])
 
     def test_categorical_singletons_keep_own_block(self):
         corpus = corpus_of(
@@ -103,22 +103,22 @@ class TestSpecifyCorpus:
             ("c", make_mass(ABC, [(("C",), 1.0)])),
         )
         part = make_partition(corpus, [["a"], ["b"], ["c"]])
-        spec = specify_corpus(part, DomainPrior.uniform(3))
+        _, weights = specify_corpus(part, DomainPrior.uniform(3))
         for rid, own in (("a", 0), ("b", 1), ("c", 2)):
-            assert spec.weights[rid][own] == pytest.approx(1.0)
+            assert weights[rid][own] == pytest.approx(1.0)
             for k in range(3):
                 if k != own:
-                    assert spec.weights[rid][k] == 0.0
+                    assert weights[rid][k] == 0.0
 
     def test_weights_sum_to_one(self):
         rng = random.Random(8)
         for _ in range(20):
             corpus, groups = separable_corpus(rng, n_reports=8, n_groups=3)
             part = make_partition(corpus, groups)
-            spec = specify_corpus(part, DomainPrior.uniform(4))
+            plausibility, weights = specify_corpus(part, DomainPrior.uniform(4))
             for rid in corpus.ids:
-                assert sum(spec.weights[rid].values()) == pytest.approx(1.0, abs=1e-9)
-                for v in spec.plausibility[rid].values():
+                assert sum(weights[rid].values()) == pytest.approx(1.0, abs=1e-9)
+                for v in plausibility[rid].values():
                     assert 0.0 <= v <= 1.0
 
     def test_ground_truth_block_maximizes_plausibility(self):
@@ -126,10 +126,10 @@ class TestSpecifyCorpus:
         for _ in range(20):
             corpus, groups = separable_corpus(rng, n_reports=9, n_groups=3)
             part = make_partition(corpus, groups)
-            spec = specify_corpus(part, DomainPrior.uniform(4))
+            plausibility, _ = specify_corpus(part, DomainPrior.uniform(4))
             for rid in corpus.ids:
                 own = part.block_of(rid)
-                best = max(range(part.n_blocks), key=lambda k: spec.plausibility[rid][k])
+                best = max(range(part.n_blocks), key=lambda k: plausibility[rid][k])
                 assert best == own
 
     def test_move_monotonicity(self):

@@ -25,6 +25,18 @@ def graph3():
 
 
 class TestConstruction:
+    def test_no_vertex_rejected(self):
+        with pytest.raises(ValidationError, match="at least one vertex"):
+            TrackGraph((), {})
+
+    @pytest.mark.parametrize(
+        "ranks, message",
+        [((1,), "length differs from p"), ((1, 2, 3), "length differs from p"), ((2, 1), "1..n in order")],
+    )
+    def test_vertex_metadata_must_match_p(self, ranks, message):
+        with pytest.raises(ValidationError, match=message):
+            TrackGraph((0.1, 0.2), {(1, 2): 0.0}, tuple(TrackVertex(r) for r in ranks))
+
     def test_incomplete_edges_rejected(self):
         with pytest.raises(ValidationError, match="every pair"):
             TrackGraph((0.1, 0.2, 0.3), {(1, 2): 0.0, (2, 3): 0.0})
@@ -240,6 +252,10 @@ class TestSweepDps:
 
 
 class TestBestPathDp:
+    def test_top_k_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="top_k must be >= 1"):
+            best_path_dp(graph3(), 0)
+
     def test_worked_example_best(self):
         paths = best_path_dp(graph3(), top_k=1)
         assert paths == [((1, 2, 3), pytest.approx(0.72, abs=1e-12))]
