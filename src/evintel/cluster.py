@@ -539,9 +539,13 @@ def partition_search(
     return partition, _report(prior, conflicts)
 
 
-def _branch_and_bound(corpus: EvidenceCorpus, prior: DomainPrior) -> tuple[list[list[str]], tuple[float, ...]]:
-    """Blocks and block conflicts of the (mcf, canonical key) minimum over
-    partitions of at most min(r_max, n) blocks.
+def exhaustive_search(corpus: EvidenceCorpus, prior: DomainPrior) -> tuple[Partition, MetaConflictReport]:
+    """Global metaconflict minimum over every partition, by exact branch and bound.
+
+    Only partitions with at most min(r_max, n) blocks are considered; any
+    block count outside the prior's support has c0 = 1 and cannot beat them.
+    Ties in mcf go to the smallest ``_canonical_key``, as in a full scan.
+    ``oracle.enumerate_search`` scores every partition and is the check.
 
     Depth-first over restricted growth strings: reports in corpus order, each
     into an open block or into a new one. A block only grows by a report
@@ -549,12 +553,8 @@ def _branch_and_bound(corpus: EvidenceCorpus, prior: DomainPrior) -> tuple[list[
     parent's, in corpus order: ``1 - survival`` is bit-for-bit
     ``cluster_conflict``. A block that ends with the last report never grows,
     so its step is conflict-only. States are memoised per block for the call;
-    a saturated state stays saturated in every superset. The conflicts
-    returned are the winner's memoised ones, in block order.
-
-    A leaf with k blocks scores ``1 - w * prod(1 - c_i)``, w = ``1 - c0`` of k
-    blocks, as ``_mcf_value`` does; its key (k, sorted blocks) is
-    ``_canonical_key``'s, and in label order, which is least-member order.
+    a saturated state stays saturated in every superset. The report is built
+    from the winner's memoised conflicts, in block order.
 
     Children are visited best first: by descending survival factor
     ``(1 - c_child) / (1 - c_parent)`` of the block report i joins, where a
@@ -562,19 +562,25 @@ def _branch_and_bound(corpus: EvidenceCorpus, prior: DomainPrior) -> tuple[list[
     the new block last. So the first leaf puts each report where it conflicts
     least, and on corpora with structure the incumbent is near the optimum
     before most of the tree is open. The order decides only how early nodes
-    are cut, not the result: every leaf is compared by (mcf, canonical key)
-    and the cuts below discard only nodes none of whose leaves can win, so
-    any visit order returns the same minimum, bit for bit.
+    are cut, not the result: the cuts below discard only nodes none of whose
+    leaves can win, so any visit order returns the same minimum, bit for bit.
 
     No completion of a node scores below ``1 - w * prod(1 - c_i)`` over its
-    open blocks, with w of the k blocks it ends with: blocks only gain
-    reports, which never raises survival, and each step of the bound is the
-    leaf's own float operation on arguments at least as large, so it bounds
-    in floating point too. Nor does any completion with k blocks have a
-    canonical key below (k, open blocks' members so far), since blocks only
+    open blocks, with w = ``1 - c0`` of the k blocks it ends with: blocks only
+    gain reports, which never raises survival, and each step of the bound is
+    the leaf's own float operation on arguments at least as large, so it
+    bounds in floating point too. Nor does any completion with k blocks have
+    a canonical key below (k, open blocks' members so far), since blocks only
     gain later indices. A node is cut when every reachable k bounds above the
     incumbent's mcf, or the smallest k that can tie it gives a key above the
     incumbent's.
+
+    A leaf is a node with one reachable count, its own k, so the same rule
+    settles it: its bound is its mcf, by the float expression ``_mcf_value``
+    runs, and its bound key is its canonical key, since labels open in
+    least-member order and so its blocks are already sorted. A leaf that
+    passes both cuts scores below the incumbent, or ties it with a smaller
+    key, and becomes the incumbent.
     """
     n = len(corpus.reports)
     cap = min(prior.r_max, n)
@@ -602,20 +608,15 @@ def _branch_and_bound(corpus: EvidenceCorpus, prior: DomainPrior) -> tuple[list[
         nonlocal best_mcf, best_key, best_conflicts
         used = len(blocks)
         survival = math.prod(1.0 - c for c in conflicts)
-        if i == n:
-            mcf = 1.0 - weights[used - 1] * survival
-            if mcf > best_mcf:
-                return
-            key = (used, sorted(blocks))
-            if mcf < best_mcf or key < best_key:
-                best_mcf, best_key, best_conflicts = mcf, key, tuple(conflicts)
-            return
         lo = max(used, 1)
         bounds = [1.0 - w * survival for w in weights[lo - 1 : min(cap, used + n - i)]]
         bound = min(bounds)
         if bound > best_mcf:
             return
         if bound == best_mcf and (lo + bounds.index(bound), blocks) > best_key:
+            return
+        if i == n:
+            best_mcf, best_key, best_conflicts = bound, (used, blocks.copy()), tuple(conflicts)
             return
         children = []  # (-survival factor, label, child conflict); label ``used`` is the new block
         for label, c in enumerate(conflicts):
@@ -640,16 +641,5 @@ def _branch_and_bound(corpus: EvidenceCorpus, prior: DomainPrior) -> tuple[list[
     visit(0)
     del visit  # a recursive closure is a reference cycle; unlink it so the memo is freed now
     ids = corpus.ids
-    return [[ids[j] for j in b] for b in best_key[1]], best_conflicts
-
-
-def exhaustive_search(corpus: EvidenceCorpus, prior: DomainPrior) -> tuple[Partition, MetaConflictReport]:
-    """Global metaconflict minimum over every partition, by exact branch and bound.
-
-    Only partitions with at most min(r_max, n) blocks are considered; any
-    block count outside the prior's support has c0 = 1 and cannot beat them.
-    Ties in mcf go to the smallest ``_canonical_key``, as in a full scan.
-    ``oracle.enumerate_search`` scores every partition and is the check.
-    """
-    blocks, conflicts = _branch_and_bound(corpus, prior)
-    return make_partition(corpus, blocks), _report(prior, conflicts)
+    partition = make_partition(corpus, [[ids[j] for j in b] for b in best_key[1]])
+    return partition, _report(prior, best_conflicts)

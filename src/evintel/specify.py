@@ -44,25 +44,24 @@ def _ratio(delta: float, denom: float) -> float:
     return min(1.0, max(0.0, delta / denom))
 
 
-def _plausibility(
-    partition: Partition,
-    prior: DomainPrior,
-    states: list[BlockState],
-    report_id: str,
-) -> dict[BlockKey, float]:
-    """One report's membership plausibility per block index and for NEW_BLOCK,
-    from the partition's block states.
+def specify_corpus(partition: Partition, prior: DomainPrior) -> tuple[dict, dict]:
+    """Membership plausibilities and per-report weights for every report and
+    block, as ``(plausibility, weights)`` (see the module docstring).
+
+    Each block's state is built once, and every +/- j conflict is its
+    ``BlockState.moved(j)``, one fold step from the block's prefix and
+    suffix chains (see the module docstring for how far that is from
+    ``cluster_conflict``). Each state's store holds these values for this
+    call only; nothing is kept once the call returns.
 
     A saturated block (conflict 1.0) gets against 1.0 either way: ``_ratio``
     maps a zero denominator to 1.0, and a saturated chain makes ``moved``'s
     add step free. Its own members get 1.0 without ``moved``, which changes
     no value (x / x is 1.0) but skips folding the block's suffix chain.
     """
-    j = partition.corpus.index_of(report_id)
-    own = partition.block_of(report_id)
+    corpus = partition.corpus
     n = partition.n_blocks
     c0 = domain_conflict(n, prior)
-    origin_empties = len(partition.blocks[own]) == 1
 
     def domain_delta(new_n: int) -> float:
         if c0 >= 1.0:
@@ -73,40 +72,28 @@ def _plausibility(
         # 1 - (fused against); not (1 - a) * (1 - d), which can differ by an ulp
         return 1.0 - (1.0 - (1.0 - a) * (1.0 - d))
 
-    pl: dict[BlockKey, float] = {}
-    for k, state in enumerate(states):
-        c_k = state.conflict()
-        if k == own:
-            c_removed = 0.0 if origin_empties or c_k == 1.0 else state.moved(j)
-            pl[k] = fused(_ratio(c_k - c_removed, 1.0 - c_removed), 0.0)
-        else:
-            d = domain_delta(n - 1) if origin_empties else 0.0
-            pl[k] = fused(_ratio(state.moved(j) - c_k, 1.0 - c_k), d)
-    # fresh block: no cluster conflict is possible in a singleton
-    pl[NEW_BLOCK] = fused(0.0, 0.0 if origin_empties else domain_delta(n + 1))
-    return pl
-
-
-def specify_corpus(partition: Partition, prior: DomainPrior) -> tuple[dict, dict]:
-    """Membership plausibilities and per-report weights for every report and
-    block, as ``(plausibility, weights)`` (see the module docstring).
-
-    Each block's state is built once, and every +/- j conflict is its
-    ``BlockState.moved(j)``, one fold step from the block's prefix and
-    suffix chains (see the module docstring for how far that is from
-    ``cluster_conflict``). Each state's store holds these values for this
-    call only; nothing is kept once the call returns.
-    """
-    corpus = partition.corpus
+    states = [BlockState(corpus, sorted(map(corpus.index_of, b))) for b in partition.blocks]
+    own_block = {j: k for k, state in enumerate(states) for j in state.members}
     plausibility: dict[str, dict[BlockKey, float]] = {}
     weights: dict[str, dict[int, float]] = {}
-    states = [BlockState(corpus, sorted(map(corpus.index_of, b))) for b in partition.blocks]
-    for report in corpus.reports:
-        pl = _plausibility(partition, prior, states, report.id)
+    for j, report in enumerate(corpus.reports):
+        own = own_block[j]
+        origin_empties = len(states[own].members) == 1
+        pl: dict[BlockKey, float] = {}
+        for k, state in enumerate(states):
+            c_k = state.conflict()
+            if k == own:
+                c_removed = 0.0 if origin_empties or c_k == 1.0 else state.moved(j)
+                pl[k] = fused(_ratio(c_k - c_removed, 1.0 - c_removed), 0.0)
+            else:
+                d = domain_delta(n - 1) if origin_empties else 0.0
+                pl[k] = fused(_ratio(state.moved(j) - c_k, 1.0 - c_k), d)
+        # fresh block: no cluster conflict is possible in a singleton
+        pl[NEW_BLOCK] = fused(0.0, 0.0 if origin_empties else domain_delta(n + 1))
         plausibility[report.id] = pl
-        block_total = left_sum(pl[k] for k in range(partition.n_blocks))
+        block_total = left_sum(pl[k] for k in range(n))
         if block_total > 0.0:
-            weights[report.id] = {k: pl[k] / block_total for k in range(partition.n_blocks)}
+            weights[report.id] = {k: pl[k] / block_total for k in range(n)}
         else:
-            weights[report.id] = {k: 1.0 / partition.n_blocks for k in range(partition.n_blocks)}
+            weights[report.id] = {k: 1.0 / n for k in range(n)}
     return plausibility, weights

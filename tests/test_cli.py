@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -567,6 +568,50 @@ class TestOracleCheck:
         result = oracle._result("x", [0.0, float("nan")], 1e-9)
         assert result.failed == 1
         assert math.isnan(result.max_dev)
+
+
+class TestCheckersFail:
+    """Each checker's refusals and failure branches, on broken inputs or a
+    production route patched to give a wrong answer."""
+
+    def test_a_wrong_pick_fails_the_game_check(self, monkeypatch):
+        monkeypatch.setattr(oracle, "sequential_play", lambda makers, rho: {m.id: "none" for m in makers})
+        assert not oracle.games_agree(oracle.random_game(random.Random(0)))
+        assert oracle.check_game_solver(0, 3).failed == 3
+
+    def test_an_unequal_mcf_at_a_shared_sweep_fails_the_descent_check(self, monkeypatch):
+        # at 200 sweeps the patched descent parts from the reference, so the
+        # check replays sweep by sweep; where the two still share blocks, an
+        # mcf one ulp off must fail it, though the parting itself is at a tie
+        corpus, _ = oracle.separable_corpus(random.Random(1), n_reports=6, n_groups=3)
+        prior = cluster.DomainPrior.uniform(4)
+        start = cluster._random_start(corpus, prior, random.Random(0))
+        descend = oracle._descend
+
+        def parted(nudge):
+            def patched(corpus, prior, blocks, sweeps, store):
+                found, mcf = descend(corpus, prior, blocks, sweeps, store)
+                if sweeps == 200:
+                    return found[::-1], mcf
+                return found, math.nextafter(mcf, 2.0) if nudge else mcf
+
+            return patched
+
+        monkeypatch.setattr(oracle, "_descend", parted(nudge=False))
+        assert oracle.descents_agree(corpus, prior, start, 200, cluster.IMPROVEMENT_TOL / 10)
+        monkeypatch.setattr(oracle, "_descend", parted(nudge=True))
+        assert not oracle.descents_agree(corpus, prior, start, 200, cluster.IMPROVEMENT_TOL / 10)
+        assert oracle.check_partition_descent(0, 4).failed == 4
+
+    def test_reference_routes_refuse_mixed_frames_and_no_input(self):
+        a = ds.make_mass(ds.Frame(("A", "B")), [(("A",), 1.0)])
+        b = ds.make_mass(ds.Frame(("A", "C")), [(("A",), 1.0)])
+        with pytest.raises(ds.ValidationError, match="different frames"):
+            oracle.reference_combine(a, b)
+        with pytest.raises(ds.ValidationError, match="different frames"):
+            oracle.enumerate_conflict([a, a, b])
+        with pytest.raises(ds.ValidationError, match="no mass functions"):
+            oracle.enumerate_conflict([])
 
 
 ROOT = Path(__file__).resolve().parents[1]

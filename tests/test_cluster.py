@@ -428,6 +428,27 @@ class TestBranchAndBound:
                 assert sorted(sorted(b) for b in best_part.blocks) == sorted(sorted(g) for g in truth)
 
 
+def pinned_corpora():
+    """The 200 (trial, corpus, prior) the pinned searches run on: mixed,
+    all-categorical, vacuous-heavy, separable and spread-mass corpora of 1 to
+    12 reports, with priors that have zero entries."""
+    rng = random.Random(131)
+    for t in range(200):
+        n = rng.randint(1, 12)
+        kind = t % 5
+        if kind == 0:
+            corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=0.25, vacuous_share=0.1)
+        elif kind == 1:
+            corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=1.0)
+        elif kind == 2:
+            corpus = mixed_corpus(rng, n, rng.randint(2, 4), vacuous_share=0.5)
+        elif kind == 3:
+            corpus, _ = separable_corpus(rng, n_reports=max(n, 3), n_groups=3)
+        else:
+            corpus = spread_corpus(rng, max(n, 2), rng.choice((8.0, 14.0)))
+        yield t, corpus, random_prior(rng, rng.randint(1, len(corpus.reports) + 1), zero_share=0.3)
+
+
 class TestIncrementalDescent:
     def test_matches_reference_on_mixed_corpora(self):
         # categorical reports saturate blocks, vacuous ones tie moves exactly,
@@ -565,22 +586,8 @@ class TestIncrementalDescent:
         # of restarts hides most exact ties between moves. A change to how the
         # descent finds its moves keeps this digest; only a change of the
         # objective or of the moves taken may re-pin it
-        rng = random.Random(131)
         digest = hashlib.sha256()
-        for t in range(200):
-            n = rng.randint(1, 12)
-            kind = t % 5
-            if kind == 0:
-                corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=0.25, vacuous_share=0.1)
-            elif kind == 1:
-                corpus = mixed_corpus(rng, n, rng.randint(2, 4), categorical_share=1.0)
-            elif kind == 2:
-                corpus = mixed_corpus(rng, n, rng.randint(2, 4), vacuous_share=0.5)
-            elif kind == 3:
-                corpus, _ = separable_corpus(rng, n_reports=max(n, 3), n_groups=3)
-            else:
-                corpus = spread_corpus(rng, max(n, 2), rng.choice((8.0, 14.0)))
-            prior = random_prior(rng, rng.randint(1, len(corpus.reports) + 1), zero_share=0.3)
+        for t, corpus, prior in pinned_corpora():
             sweeps = (0, 1, 3, 200)[t % 4]
             part, report = partition_search(corpus, prior, SearchConfig(seed=t, max_sweeps=sweeps))
             digest.update(repr((part.blocks, report.mcf.hex(), [c.hex() for c in report.cluster_conflicts])).encode())
@@ -589,6 +596,22 @@ class TestIncrementalDescent:
                 blocks, mcf = _descend(corpus, prior, start, sweeps, {})
                 digest.update(repr((blocks, mcf.hex())).encode())
         assert digest.hexdigest() == "ffea2b311d16bc22b1869540c4441debad7e9840dfafe2f958421506bd21d084"
+
+    def test_specify_and_exact_search_are_pinned(self):
+        # every specify_corpus plausibility and weight on a random start of each
+        # pinned corpus, and exhaustive_search's blocks, c0, mcf and conflicts,
+        # bit for bit; a change to how either is computed keeps this digest
+        digest = hashlib.sha256()
+        for t, corpus, prior in pinned_corpora():
+            partition = make_partition(corpus, _random_start(corpus, prior, random.Random(f"{t}")))
+            plausibility, weights = specify_corpus(partition, prior)
+            for rid in corpus.ids:
+                for values in (plausibility[rid], weights[rid]):
+                    digest.update(repr([(k, v.hex()) for k, v in values.items()]).encode())
+            exact, report = exhaustive_search(corpus, prior)
+            conflicts = [c.hex() for c in report.cluster_conflicts]
+            digest.update(repr((exact.blocks, report.c0.hex(), report.mcf.hex(), conflicts)).encode())
+        assert digest.hexdigest() == "67ef0f5c02d13bf411b1a09e680767fd2ab5ebd6810f2fac34b647672ca03249"
 
     def test_block_state_conflicts_match_cluster_conflict(self):
         # block +/- j, the block itself and the block after each toggle, bit for
