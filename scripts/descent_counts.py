@@ -17,10 +17,11 @@ the fold steps of ``specify_corpus`` on the partitions ``partition_search``
 returns: its full steps fold block chains, and its conflict-only steps are
 one-step values of blocks with a report added.
 
-Every node ``exhaustive_search`` visits, inner or leaf, calls ``math.prod``
-exactly once, for the survival of its open blocks, which its bound reads (a
-leaf's bound is its mcf). ``_report`` calls it once more for the winner. So
-the nodes of one ``exhaustive_search`` are its ``math.prod`` calls minus one.
+Every node ``exhaustive_search`` pops from its stack of open nodes, inner or
+leaf, calls ``math.prod`` exactly once, for the survival of its open blocks,
+which its bound reads (a leaf's bound is its mcf). ``_report`` calls it once
+more for the winner. So the nodes of one ``exhaustive_search`` are its
+``math.prod`` calls minus one.
 
 Corpora (seed 3 by default): the ``evintel gen`` ladder one rung at a time, ten
 10-report corpora like the exhaustive-check benchmark's (five separable, five

@@ -33,10 +33,13 @@ CLUSTER = "src/evintel/cluster.py"
 SPECIFY = "src/evintel/specify.py"
 DS = "src/evintel/ds.py"
 DECIDE = "src/evintel/decide.py"
+POSTERIOR = "src/evintel/posterior.py"
+TRACKS = "src/evintel/tracks.py"
 BNB = "tests/test_cluster.py::TestBranchAndBound::"
 DESCENT = "tests/test_cluster.py::TestIncrementalDescent::"
 MEMBERSHIP = "tests/test_specify.py::TestMembershipEvidence::"
 KERNEL = "tests/test_ds.py::TestDempsterKernel::"
+BEST_PATH = "tests/test_tracks.py::TestBestPathDp::"
 
 # (file, old line, new line, tests that must each fail)
 MUTANTS = [
@@ -54,12 +57,16 @@ MUTANTS = [
         "if bound == best_mcf and (lo + bounds.index(bound), blocks) < best_key:",
         [BNB + "test_tie_goes_to_smallest_canonical_key[5]", BNB + "test_separable_optimum_beyond_the_first_leaf"],
     ),
-    # the incumbent's blocks alias the search's working list
+    # a report joining an open block leaves the block's conflict as it was
     (
         CLUSTER,
-        "best_mcf, best_key, best_conflicts = bound, (used, blocks.copy()), tuple(conflicts)",
-        "best_mcf, best_key, best_conflicts = bound, (used, blocks), tuple(conflicts)",
-        [BNB + "test_separable_optimum_beyond_the_first_leaf", BNB + "test_recovers_the_truth_on_gen_ladder[rung0]"],
+        "child_conflicts[label] = child",
+        "child_conflicts[label] = conflicts[label]",
+        [
+            BNB + "test_matches_enumeration",
+            BNB + "test_separable_optimum_beyond_the_first_leaf",
+            BNB + "test_saturated_blocks_split",
+        ],
     ),
     # the descent's phase 2 stops at a bound equal to the best candidate
     (
@@ -130,7 +137,44 @@ MUTANTS = [
         DECIDE,
         "share = (hi - lo) / len(winners)",
         "share = hi - lo",
-        ["tests/test_decide.py::TestRhoSegmentation::test_identical_choices_split"],
+        [
+            "tests/test_decide.py::TestRhoSegmentation::test_identical_choices_split",
+            "tests/test_acceptance.py::test_c8_decision_module",
+        ],
+    ),
+    # make_mass renormalizes sums that are already exact to rounding
+    (
+        DS,
+        "if abs(total - 1.0) > len(entries) * 2**-52:",
+        "if True:",
+        [
+            "tests/test_ds.py::TestMakeMass::test_decimal_sums_are_kept",
+            DESCENT + "test_specify_and_exact_search_are_pinned",
+        ],
+    ),
+    # the posterior's reachable mass drops the r-th count
+    (
+        POSTERIOR,
+        "reachable = cb[0] + math.fsum(cb[1 : r + 1])",
+        "reachable = cb[0] + math.fsum(cb[1:r])",
+        [
+            "tests/test_posterior.py::TestPosterior::test_worked_example",
+            "tests/test_acceptance.py::test_c5_posterior_correctness",
+        ],
+    ),
+    # the top-k path DP keeps one path per vertex
+    (
+        TRACKS,
+        "ranked[j] = candidates[:top_k]",
+        "ranked[j] = candidates[:1]",
+        [BEST_PATH + "test_topk_matches_exhaustive", BEST_PATH + "test_strong_transition_doubt"],
+    ),
+    # the path DP never steps from the vertex just before j
+    (
+        TRACKS,
+        "for i in range(1, j):",
+        "for i in range(1, j - 1):",
+        [BEST_PATH + "test_worked_example_best", BEST_PATH + "test_topk_matches_exhaustive"],
     ),
 ]
 

@@ -548,15 +548,20 @@ def exhaustive_search(corpus: EvidenceCorpus, prior: DomainPrior) -> tuple[Parti
     ``oracle.enumerate_search`` scores every partition and is the check.
 
     Depth-first over restricted growth strings: reports in corpus order, each
-    into an open block or into a new one. A block only grows by a report
-    beyond its last index, so its ``_fold_step`` state is one step from its
-    parent's, in corpus order: ``1 - survival`` is bit-for-bit
-    ``cluster_conflict``. A block that ends with the last report never grows,
-    so its step is conflict-only. States are memoised per block for the call;
-    a saturated state stays saturated in every superset. The report is built
-    from the winner's memoised conflicts, in block order.
+    into an open block or into a new one. The open nodes wait on one stack as
+    (next report, member indices per label, their conflicts); a child copies
+    its parent's lists before it changes them, so a pushed node never
+    changes. A budget could stop the search at any pop: the stack then holds
+    every unsettled node, and the incumbent's mcf less their least bound is
+    the gap. A block only grows by a report beyond its last index, so its
+    ``_fold_step`` state is one step from its parent's, in corpus order:
+    ``1 - survival`` is bit-for-bit ``cluster_conflict``. A block that ends
+    with the last report never grows, so its step is conflict-only. States
+    are memoised per block for the call; a saturated state stays saturated in
+    every superset. The report is built from the winner's memoised
+    conflicts, in block order.
 
-    Children are visited best first: by descending survival factor
+    Children are popped best first: by descending survival factor
     ``(1 - c_child) / (1 - c_parent)`` of the block report i joins, where a
     new block counts as 1 and a saturated parent as 0; ties keep label order,
     the new block last. So the first leaf puts each report where it conflicts
@@ -587,11 +592,9 @@ def exhaustive_search(corpus: EvidenceCorpus, prior: DomainPrior) -> tuple[Parti
     items = corpus._items
     weights = [1.0 - domain_conflict(k, prior) for k in range(1, cap + 1)]
     states: dict[tuple[int, ...], FoldState] = {}
-    blocks: list[tuple[int, ...]] = []  # member indices per label
-    conflicts: list[float] = []
     best_mcf = math.inf
     best_key: tuple = ()
-    best_conflicts: tuple[float, ...] = ()
+    best_conflicts: list[float] = []
 
     def conflict_of(block: tuple[int, ...]) -> float:
         state = states.get(block)
@@ -604,42 +607,37 @@ def exhaustive_search(corpus: EvidenceCorpus, prior: DomainPrior) -> tuple[Parti
             states[block] = state
         return 1.0 - state[1]
 
-    def visit(i: int) -> None:
-        nonlocal best_mcf, best_key, best_conflicts
+    stack: list[tuple[int, list[tuple[int, ...]], list[float]]] = [(0, [], [])]
+    while stack:
+        i, blocks, conflicts = stack.pop()
         used = len(blocks)
         survival = math.prod(1.0 - c for c in conflicts)
         lo = max(used, 1)
         bounds = [1.0 - w * survival for w in weights[lo - 1 : min(cap, used + n - i)]]
         bound = min(bounds)
         if bound > best_mcf:
-            return
+            continue
         if bound == best_mcf and (lo + bounds.index(bound), blocks) > best_key:
-            return
+            continue
         if i == n:
-            best_mcf, best_key, best_conflicts = bound, (used, blocks.copy()), tuple(conflicts)
-            return
+            best_mcf, best_key, best_conflicts = bound, (used, blocks), conflicts
+            continue
         children = []  # (-survival factor, label, child conflict); label ``used`` is the new block
         for label, c in enumerate(conflicts):
             child = conflict_of(blocks[label] + (i,))
             children.append((-(1.0 - child) / (1.0 - c) if c < 1.0 else 0.0, label, child))
         if used < cap:
             children.append((-1.0, used, conflict_of((i,))))
-        children.sort()
+        children.sort(reverse=True)
         for _, label, child in children:
+            child_blocks, child_conflicts = blocks.copy(), conflicts.copy()
             if label == used:
-                blocks.append((i,))
-                conflicts.append(child)
-                visit(i + 1)
-                blocks.pop()
-                conflicts.pop()
+                child_blocks.append((i,))
+                child_conflicts.append(child)
             else:
-                parent, parent_conflict = blocks[label], conflicts[label]
-                blocks[label], conflicts[label] = parent + (i,), child
-                visit(i + 1)
-                blocks[label], conflicts[label] = parent, parent_conflict
-
-    visit(0)
-    del visit  # a recursive closure is a reference cycle; unlink it so the memo is freed now
+                child_blocks[label] += (i,)
+                child_conflicts[label] = child
+            stack.append((i + 1, child_blocks, child_conflicts))
     ids = corpus.ids
     partition = make_partition(corpus, [[ids[j] for j in b] for b in best_key[1]])
-    return partition, _report(prior, best_conflicts)
+    return partition, _report(prior, tuple(best_conflicts))

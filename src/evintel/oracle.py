@@ -767,13 +767,20 @@ def check_best_path(seed: int, trials: int) -> CheckResult:
 
 
 def check_rho_preferences(seed: int, trials: int) -> CheckResult:
+    """``rho_segmentation``'s preferences vs a midpoint grid scan. A quarter of
+    the choices after the first repeat an earlier choice's interval: affinely
+    identical choices tie everywhere and must split their segments."""
     rng = random.Random(seed)
     grid = 10_000
     devs = []
     for _ in range(trials):
         choices = []
         for i in range(rng.randint(1, 5)):
-            a, b = sorted((rng.random(), rng.random()))
+            if choices and rng.random() < 0.25:
+                earlier = rng.choice(choices)
+                a, b = earlier.e_low, earlier.e_high
+            else:
+                a, b = sorted((rng.random(), rng.random()))
             choices.append(UtilityIntervalChoice(f"c{i}", a, b))
         _, preferences = rho_segmentation(choices)
         counts = {c.id: 0.0 for c in choices}

@@ -416,6 +416,15 @@ class TestBranchAndBound:
         assert part.blocks == (("e1", "e3"), ("e2", "e4"))
         assert report.mcf == 0.5
 
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # the search is as deep as the corpus is long; 1,200 reports pass
+        # Python's default recursion limit of 1,000. One block and two tie
+        # at 0.5, and the canonical key prefers one.
+        corpus = corpus_of(AB, *((f"r{i:04d}", vacuous(AB)) for i in range(1200)))
+        part, report = exhaustive_search(corpus, DomainPrior.uniform(2))
+        assert part.blocks == (corpus.ids,)
+        assert report.mcf == 0.5
+
     def test_search_reaches_minimum_on_larger_corpora(self):
         rng = random.Random(71)
         for n in (14, 15, 16):
