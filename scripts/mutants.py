@@ -90,6 +90,13 @@ MUTANTS = [
             DESCENT + "test_search_results_are_pinned",
         ],
     ),
+    # a descent goes on after a move that leaves the canonical mcf no lower
+    (
+        CLUSTER,
+        "if mcf >= last:",
+        "if False:",
+        [DESCENT + "test_a_descent_ends_when_its_canonical_mcf_stops_falling"],
+    ),
     # a fold step saturates as soon as its conflict passes one half
     (
         CLUSTER,
@@ -130,7 +137,10 @@ MUTANTS = [
         DS,
         "if top * (1.0 / (1.0 - conflict)) < PRUNE_EPS:",
         "if False:",
-        [KERNEL + "test_every_survivor_below_prune_eps_raises"],
+        [
+            KERNEL + "test_every_survivor_below_prune_eps_raises",
+            KERNEL + "test_a_block_whose_every_survivor_is_below_prune_eps_is_saturated",
+        ],
     ),
     # tied winners each take a segment's whole length
     (

@@ -34,7 +34,6 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
 def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=SUPPRESS)
     p.add_argument("--restarts", type=int, default=SUPPRESS)
-    p.add_argument("--max-sweeps", type=int, default=SUPPRESS)
     p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; restarts run serially")
 
 

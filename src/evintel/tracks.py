@@ -257,7 +257,13 @@ def best_path_dp(g: TrackGraph, top_k: int = 1) -> list[tuple[Path, float]]:
 
     Factoring out the constant prod(1 - p_i) turns the plausibility product
     into the additive score sum(-log(1-p_i) over the path) + sum(log(1-q_ij)
-    over consecutive pairs). Ties prefer lexicographically smaller sequences.
+    over consecutive pairs). Candidates are ordered by (-score, path) on the
+    float score sums, so of two paths the lexicographically smaller comes
+    first only where their sums are bit-equal; paths of equal plausibility
+    whose log sums round apart are ordered by that rounding. On p = (0.5,
+    0.75, 0, 0), q13 = 0.25, q23 = 0.5 and every other q = 0, top-4 keeps (2,)
+    and (2, 4) and leaves out (1, 2, 3) and (1, 2, 3, 4), all four of
+    plausibility 0.5.
     """
     if top_k < 1:
         raise ValidationError("top_k must be >= 1")

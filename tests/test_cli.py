@@ -426,11 +426,6 @@ class TestExitCodes:
         assert "v_max must be positive" in capsys.readouterr().err
         assert main(["pipeline", str(scenario_file), "--vmax", "inf"]) == 0  # no speed limit
 
-    def test_negative_max_sweeps_exit_2(self, scenario_file, capsys):
-        assert main(["pipeline", str(scenario_file), "--max-sweeps", "-3"]) == 2
-        assert "max_sweeps must be >= 0" in capsys.readouterr().err
-        assert main(["pipeline", str(scenario_file), "--max-sweeps", "0"]) == 0
-
 
 def _node_paths(value, path=()):
     yield path

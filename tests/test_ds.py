@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from conftest import corpus_of
+from evintel.cluster import BlockState, cluster_conflict
 from evintel.ds import (
     PRUNE_EPS,
     Frame,
@@ -195,6 +197,14 @@ class TestDempsterKernel:
         with pytest.raises(TotalConflictError):
             _dempster_conflict(m1.masses, items)
         assert kernel_agrees(m1, m2)
+
+    def test_a_block_whose_every_survivor_is_below_prune_eps_is_saturated(self):
+        # the masses above as a two-report corpus: the descent's one-step
+        # score of joining them must be the canonical conflict, 1.0; without
+        # the conflict-only step's fallback it reads 0.9999999995
+        m1 = MassFunction(AB, {AB.bits_of(("A",)): 1 - 5e-10, AB.full_bits: 1e-25})
+        corpus = corpus_of(AB, ("e1", m1), ("e2", m_of(AB, (("B",), 1.0))))
+        assert BlockState(corpus, [0]).moved(1) == cluster_conflict(corpus, ["e1", "e2"]) == 1.0
 
     def test_small_products_that_sum_past_prune_eps_survive(self):
         # each product on B scales below PRUNE_EPS, their sum does not: the

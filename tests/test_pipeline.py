@@ -126,15 +126,16 @@ class TestParseDecision:
 
 class TestPipelineConfig:
     def test_search_settings_are_a_search_config(self):
-        cfg = PipelineConfig(seed=4, restarts=7, max_sweeps=9)
+        cfg = PipelineConfig(seed=4, restarts=7)
         assert isinstance(cfg, SearchConfig)
-        assert (cfg.seed, cfg.restarts, cfg.max_sweeps) == (4, 7, 9)
+        assert (cfg.seed, cfg.restarts) == (4, 7)
+        assert vars(SearchConfig()) == {"restarts": 20, "seed": 0}  # every descent runs to its end
 
     @pytest.mark.parametrize(
         "kw, message",
         [
             ({"restarts": 0}, "restarts must be >= 1"),
-            ({"max_sweeps": -1}, "max_sweeps must be >= 0"),
+            ({"v_max_kmh": 0.0}, "v_max must be positive"),
             ({"top_k": 0}, "top_k must be >= 1"),
             ({"q_cap": 1.0}, "q_cap must lie"),
         ],
