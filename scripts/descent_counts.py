@@ -23,33 +23,36 @@ which its bound reads (a leaf's bound is its mcf). ``_report`` calls it once
 more for the winner. So the nodes of one ``exhaustive_search`` are its
 ``math.prod`` calls minus one.
 
-Corpora (seed 3 by default): the ``evintel gen`` ladder one rung at a time, ten
-10-report corpora like the exhaustive-check benchmark's (five separable, five
-random-mass, uniform prior on 1..4), and twelve track-desk-style scenarios
-(fast targets in a wide box). The counts are deterministic. They are taken by
-wrapping the kernels in the ``cluster`` module's namespace, and
-``BlockState.moved`` on its class, from outside, so the package itself counts
-nothing.
+Corpora (seed 3 by default): the ``evintel gen`` ladder one rung at a time,
+then the inputs of two benchmark workloads, built by ``perfbench/workloads.py``
+as its ops build them: exhaustive-check's sets 0-4 (ten 10-report corpora,
+five separable and five random-mass, uniform prior on 1..4) and track-desk's
+sets 0-3 (20 scenarios of fast targets in a wide box). The counts are
+deterministic. They are taken by wrapping the kernels in the ``cluster``
+module's namespace, and ``BlockState.moved`` on its class, from outside, so
+the package itself counts nothing.
 """
 
 import argparse
 import collections
 import contextlib
 import math
-import random
+import sys
+import tempfile
 import types
+from pathlib import Path
 
 from evintel import cluster
-from evintel.cluster import DomainPrior, EvidenceCorpus, Report, exhaustive_search, partition_search
-from evintel.ds import Frame
-from evintel.oracle import random_mass, separable_corpus
+from evintel.cluster import exhaustive_search, partition_search
 from evintel.pipeline import parse_document
 from evintel.scenario import ScenarioConfig, generate_scenario_doc
 from evintel.specify import specify_corpus
 
+sys.dont_write_bytecode = True  # no perfbench/__pycache__: the benchmark's cold set-up compiles workloads.py
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  the benchmark's own inputs, read only
+
 LADDER = [(3, 4), (4, 6), (5, 6), (6, 8), (8, 8), (10, 10)]
-TRACK_DESK_RUNGS = [(2, 6), (3, 6), (2, 10)]
-SET_STRIDE = 100_003  # seed step between sets, as in the benchmark
 
 
 @contextlib.contextmanager
@@ -117,31 +120,19 @@ def exact_start(corpora, runs) -> str:
     return f"{found} at {sum(firsts) / len(firsts):.1f}" if firsts else found
 
 
-def scenario(seed: int, targets: int, per_target: int, **kw):
-    cfg = ScenarioConfig(seed=seed, targets=targets, reports_per_target=per_target, frame_size=max(6, targets), **kw)
+def scenario(seed: int, targets: int, per_target: int):
+    cfg = ScenarioConfig(seed=seed, targets=targets, reports_per_target=per_target, frame_size=max(6, targets))
     return parse_document(generate_scenario_doc(cfg))
 
 
-def exhaustive_check_corpora(seed: int, sets: int = 5):
-    frame = Frame(("t1", "t2", "t3", "t4"))
-    prior = DomainPrior.uniform(4)
-    corpora = []
-    for k in range(sets):
-        set_seed = seed + k * SET_STRIDE
-        corpus, _ = separable_corpus(random.Random(f"separable:{set_seed}"), n_reports=10, n_groups=3)
-        corpora.append((corpus, prior))
-        rng = random.Random(f"mixed:{set_seed}")
-        reports = tuple(Report(f"e{i + 1:02d}", random_mass(frame, rng)) for i in range(10))
-        corpora.append((EvidenceCorpus(frame, reports), prior))
-    return corpora
-
-
-def track_desk_corpora(seed: int, sets: int = 4):
-    return [
-        scenario(seed + k * SET_STRIDE, t, p, v_max_kmh=10_000.0, area_km=20_000.0)
-        for k in range(sets)
-        for t, p in TRACK_DESK_RUNGS
-    ]
+def benchmark_corpora(name: str, seed: int, sets: int):
+    """(corpus, prior) of every op in sets 0..sets-1 of a benchmark workload."""
+    with tempfile.TemporaryDirectory() as workdir:  # track-desk's prepare writes its corpus files
+        workload = workloads.make_workload(name, seed, Path(workdir))
+        ops = [op for k in range(sets) for op in workload.prepare(k)]
+    if name == "exhaustive-check":
+        return [(workload.build(op)[0], workload.prior) for op in ops]
+    return [parse_document(op.doc) for op in ops]
 
 
 def main() -> None:
@@ -150,8 +141,8 @@ def main() -> None:
     args = parser.parse_args()
 
     rows = [(f"gen --seed {args.seed} {t}x{p}", [scenario(args.seed, t, p)]) for t, p in LADDER]
-    rows.append(("exhaustive-check, 10 corpora", exhaustive_check_corpora(args.seed)))
-    rows.append(("track-desk, 12 corpora", track_desk_corpora(args.seed)))
+    rows.append(("exhaustive-check, 10 corpora", benchmark_corpora("exhaustive-check", args.seed, 5)))
+    rows.append(("track-desk, 20 corpora", benchmark_corpora("track-desk", args.seed, 4)))
     print(f"{'':<30} {'partition_search':^81}   {'exhaustive_search':^36}   {'specify_corpus':^26}".rstrip())
     print(
         f"{'corpora':<30} {'descents':>9} {'full folds':>11} {'conflict-only':>14} {'moved calls':>12}"

@@ -2,10 +2,28 @@
 
 from __future__ import annotations
 
-from itertools import product
+import difflib
+from itertools import islice, product
+from pathlib import Path
+
+import pytest
 
 from evintel.cluster import EvidenceCorpus, Report
 from evintel.ds import make_mass
+
+
+PINNED = Path(__file__).parent / "pinned"
+
+
+def assert_pinned(name: str, data: bytes) -> None:
+    """``data`` equals the checked-in file ``tests/pinned/<name>`` byte for
+    byte; otherwise fail, naming the file and showing its first differing lines."""
+    pinned = (PINNED / name).read_bytes()
+    if data != pinned:
+        old, new = (b.decode().splitlines(keepends=True) for b in (pinned, data))
+        diff = difflib.unified_diff(old, new, f"tests/pinned/{name}", "this run", lineterm="", n=1)
+        shown = "\n".join(line.rstrip("\r\n") for line in islice(diff, 12))
+        pytest.fail(f"tests/pinned/{name} differs from this run:\n{shown}", pytrace=False)
 
 
 def simple(frame, element, w):

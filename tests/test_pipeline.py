@@ -1,10 +1,10 @@
 import copy
-import hashlib
 import json
 import random
 
 import pytest
 
+from conftest import assert_pinned
 from evintel.cli import main
 from evintel.cluster import DomainPrior, EvidenceCorpus, Report, SearchConfig, exhaustive_search
 from evintel.ds import Frame, ValidationError, make_mass
@@ -326,22 +326,29 @@ PINNED_DECISION_DOC = doc_with(
 )
 
 
-def test_pipeline_outputs_are_pinned():
-    # the JSON and the tables of whole pipeline runs, byte for byte: the gen
-    # --seed 3 ladder rungs 3x4, 4x6, 5x6 and 6x8 at the CLI defaults, and one
-    # hand-written corpus with a decision section played at rho 0.5. Only a
-    # change that means to alter a result may re-pin this digest
-    digest = hashlib.sha256()
+def pinned_outputs():
+    """(file name, bytes) of the JSON and the tables of whole pipeline runs:
+    the gen --seed 3 ladder rungs 3x4, 4x6, 5x6 and 6x8 at the CLI defaults,
+    and one hand-written corpus with a decision section played at rho 0.5."""
+    runs = []
     for targets, per_target in ((3, 4), (4, 6), (5, 6), (6, 8)):
         doc = generate_scenario_doc(ScenarioConfig(seed=3, targets=targets, reports_per_target=per_target))
-        result = run_pipeline(*parse_document(doc))
-        digest.update(render_json(result).encode())
-        digest.update(format_result(result).encode())
+        runs.append((f"gen-seed3-{targets}x{per_target}", run_pipeline(*parse_document(doc))))
     corpus, prior = parse_document(PINNED_DECISION_DOC)
     result = run_pipeline(corpus, prior, PipelineConfig(rho=0.5), decision=parse_decision(PINNED_DECISION_DOC))
-    digest.update(render_json(result).encode())
-    digest.update(format_result(result).encode())
-    assert digest.hexdigest() == "cf6bba16f247587c089f7d59bd303193083774f5ab34c7474a84b335408ffbf2"
+    runs.append(("decision-rho0.5", result))
+    for stem, result in runs:
+        yield f"{stem}.json", render_json(result).encode()
+        yield f"{stem}.txt", format_result(result).encode()
+
+
+def test_pipeline_outputs_are_pinned():
+    # each output byte for byte against its file in tests/pinned/. Only a
+    # change that means to alter a result may rewrite them, from the
+    # repository root with
+    # PYTHONPATH=src:tests python -c "from conftest import PINNED; from test_pipeline import pinned_outputs; [(PINNED / n).write_bytes(d) for n, d in pinned_outputs()]"
+    for name, data in pinned_outputs():
+        assert_pinned(name, data)
 
 
 @pytest.mark.parametrize("corpus", ["gen", "decision"])
